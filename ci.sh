@@ -45,44 +45,22 @@ cargo run --release --example loadgen -- --smoke
 echo "==> pattern-mining smoke (planted signatures recovered exactly, drift shifts the catalog)"
 cargo run --release --example patterns_demo -- --smoke
 
-echo "==> bench scaling gate (advisory: parallel must not regress past serial)"
-if [[ -f BENCH_kernels.json ]]; then
-    cargo run -q --release -p nd-bench --bin bench-compare -- BENCH_kernels.json ||
-        echo "WARNING: bench-compare found parallel regressions (advisory only; re-run 'ND_BENCH_JSON=BENCH_kernels.json cargo bench -p nd-bench --bench kernels' on a quiet machine)"
-else
-    echo "BENCH_kernels.json not found; skipping (generate with ND_BENCH_JSON=BENCH_kernels.json cargo bench -p nd-bench --bench kernels)"
-fi
-
-echo "==> pattern-mining bench gate (advisory: threaded mining must not regress past serial)"
-if [[ -f BENCH_patterns.json ]]; then
-    cargo run -q --release -p nd-bench --bin bench-compare -- BENCH_patterns.json ||
-        echo "WARNING: bench-compare found parallel regressions (advisory only; re-run 'ND_BENCH_JSON=BENCH_patterns.json cargo bench -p nd-bench --bench patterns' on a quiet machine)"
-else
-    echo "BENCH_patterns.json not found; skipping (generate with ND_BENCH_JSON=BENCH_patterns.json cargo bench -p nd-bench --bench patterns)"
-fi
-
-echo "==> pipeline cache bench table (advisory: warm replay must dwarf cold runs)"
-if [[ -f BENCH_pipeline.json ]]; then
-    cargo run -q --release -p nd-bench --bin bench-compare -- BENCH_pipeline.json ||
-        echo "WARNING: bench-compare failed on BENCH_pipeline.json (advisory only; re-run 'ND_BENCH_JSON=BENCH_pipeline.json cargo bench -p nd-bench --bench pipeline' on a quiet machine)"
-else
-    echo "BENCH_pipeline.json not found; skipping (generate with ND_BENCH_JSON=BENCH_pipeline.json cargo bench -p nd-bench --bench pipeline)"
-fi
-
-echo "==> incremental stream bench table (advisory: fold-one-slice must dwarf cold re-runs)"
-if [[ -f BENCH_incremental.json ]]; then
-    cargo run -q --release -p nd-bench --bin bench-compare -- BENCH_incremental.json ||
-        echo "WARNING: bench-compare failed on BENCH_incremental.json (advisory only; re-run 'ND_BENCH_JSON=\$PWD/BENCH_incremental.json cargo bench -p nd-bench --bench incremental' on a quiet machine)"
-else
-    echo "BENCH_incremental.json not found; skipping (generate with ND_BENCH_JSON=\$PWD/BENCH_incremental.json cargo bench -p nd-bench --bench incremental)"
-fi
-
-echo "==> serving SLO gate (advisory: 4-shard cold-probe must not regress past single-shard)"
-if [[ -f BENCH_slo.json ]]; then
-    cargo run -q --release -p nd-bench --bin bench-compare -- BENCH_slo.json ||
-        echo "WARNING: bench-compare failed on BENCH_slo.json (advisory only; re-run 'ND_BENCH_JSON=\$PWD/BENCH_slo.json cargo bench -p nd-bench --bench slo' on a quiet machine)"
-else
-    echo "BENCH_slo.json not found; skipping (generate with ND_BENCH_JSON=\$PWD/BENCH_slo.json cargo bench -p nd-bench --bench slo)"
-fi
+# Advisory bench gates: bench-compare checks each checked-in table's
+# own invariants (parallel rows must not regress past serial, warm
+# replay and single-slice folds must dwarf cold runs, 4-shard cold
+# probes must not regress past one shard). A failure only warns.
+# BENCH_serve.json is informational and stays ungated. The regen hints
+# use $PWD because cargo runs bench binaries from crates/bench.
+for bench in kernels patterns pipeline incremental slo; do
+    file="BENCH_${bench}.json"
+    regen="ND_BENCH_JSON=\$PWD/$file cargo bench -p nd-bench --bench $bench"
+    echo "==> $bench bench gate (advisory)"
+    if [[ -f $file ]]; then
+        cargo run -q --release -p nd-bench --bin bench-compare -- "$file" ||
+            echo "WARNING: bench-compare failed on $file (advisory only; re-run '$regen' on a quiet machine)"
+    else
+        echo "$file not found; skipping (generate with $regen)"
+    fi
+done
 
 echo "==> ci.sh: all green"

@@ -25,10 +25,10 @@
 //!
 //! ## Per-slice fingerprint chaining
 //!
-//! A stage's cache key at slice `k` chains, via
-//! [`chain_fingerprint`]: the stream format version, the stage name
-//! hash, its code version, its config fingerprint, the slice
-//! fingerprint (firehose config + index + bounds), its **own
+//! A stage's cache key at slice `k` is the shared
+//! [`crate::cache::fingerprint`] recipe over: the format version, the
+//! stage name hash, its code version, its config fingerprint, the
+//! slice fingerprint (firehose config + index + bounds), its **own
 //! fingerprint at slice `k − 1`** (0 at the origin), and its
 //! dependencies' fingerprints at slice `k`. The chain is pure
 //! metadata — computable without reading any payload — so a fully
@@ -38,16 +38,17 @@
 //!
 //! ## Healing
 //!
-//! The executor materializes artifacts demand-first: probe the cache
-//! at `(stage, k)`; on any defect (missing file, torn frame, codec
-//! drift) recurse to `(stage, k − 1)` and the slice-`k` dependencies,
-//! poll slice `k` lazily, fold, and re-save. A corrupted artifact
-//! therefore costs exactly the recomputation of its cone — nothing
-//! upstream or on unrelated slices re-executes.
+//! The executor materializes artifacts demand-first through the shared
+//! per-node cache path ([`crate::cache`]): probe the cache at
+//! `(stage, k)`; on any defect (missing file, torn frame, codec drift,
+//! trailing bytes) recurse to `(stage, k − 1)` and the slice-`k`
+//! dependencies, poll slice `k` lazily, fold, and re-save. A
+//! corrupted artifact therefore costs exactly the recomputation of its
+//! cone — nothing upstream or on unrelated slices re-executes.
 
+use crate::cache::{artifact_id, fingerprint, ms_since, ArtifactCache, CacheConfig, RunReport};
 use crate::error::{CoreError, Result};
 use crate::event_module::{decode_events, encode_events, DetectedEvents, EventModuleConfig};
-use crate::pipeline::CacheStatus;
 use crate::preprocess::{
     build_news_ed, build_news_tm, build_twitter_ed, decode_corpora, decode_timestamped,
     encode_corpora, encode_timestamped, Corpora,
@@ -69,10 +70,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Bumped when the stream artifact framing or the chained fingerprint
-/// recipe changes; invalidates every cached slice artifact at once.
-pub const STREAM_FORMAT_VERSION: u64 = 1;
-
 /// Full streaming-pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
@@ -93,12 +90,8 @@ pub struct StreamConfig {
     pub embed_dim: usize,
     /// Word2Vec epochs per fold.
     pub embed_epochs: usize,
-    /// Artifact-cache directory (`None` disables caching; every fold
-    /// recomputes in memory). Excluded from fingerprints.
-    pub cache_dir: Option<PathBuf>,
-    /// Recompute every fold even on a cache hit; results still
-    /// overwrite the cache. Excluded from fingerprints.
-    pub force: bool,
+    /// Artifact-cache controls (excluded from fingerprints).
+    pub cache: CacheConfig,
 }
 
 impl StreamConfig {
@@ -114,15 +107,14 @@ impl StreamConfig {
             window_slices: 4,
             embed_dim: 16,
             embed_epochs: 2,
-            cache_dir: None,
-            force: false,
+            cache: CacheConfig::default(),
         }
     }
 
     /// Enables the artifact cache under `dir`.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
+        self.cache.dir = Some(dir.into());
         self
     }
 }
@@ -289,27 +281,6 @@ pub trait FoldStage: Sync {
         -> std::result::Result<StreamArtifact, ArtifactError>;
 }
 
-/// The chained per-slice cache key (see the module docs). Pure
-/// metadata: no artifact payload contributes.
-pub fn slice_fingerprint(
-    stage: &dyn FoldStage,
-    config: &StreamConfig,
-    slice_fp: u64,
-    prev_fp: u64,
-    dep_fps: &[u64],
-) -> u64 {
-    let mut words = vec![
-        STREAM_FORMAT_VERSION,
-        fnv1a64(stage.name().as_bytes()),
-        stage.code_version(),
-        stage.config_fingerprint(config),
-        slice_fp,
-        prev_fp,
-    ];
-    words.extend_from_slice(dep_fps);
-    chain_fingerprint(&words)
-}
-
 fn wrong_stream_variant(stage: &'static str) -> CoreError {
     CoreError::Artifact(format!("stream stage `{stage}` handed a foreign artifact variant"))
 }
@@ -319,9 +290,6 @@ fn wrong_stream_variant(stage: &'static str) -> CoreError {
 /// Stream stage 1 — firehose ingestion into accumulated storage.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamCollectStage;
-
-/// Static instance backing [`crate::stage::Stage::incremental`].
-pub static STREAM_COLLECT: StreamCollectStage = StreamCollectStage;
 
 fn encode_stream_world(w: &StreamWorld, out: &mut ByteWriter) {
     out.put_usize(w.slices.len());
@@ -410,9 +378,6 @@ impl FoldStage for StreamCollectStage {
 #[derive(Debug, Clone, Copy)]
 pub struct StreamPreprocessStage;
 
-/// Static instance backing [`crate::stage::Stage::incremental`].
-pub static STREAM_PREPROCESS: StreamPreprocessStage = StreamPreprocessStage;
-
 impl FoldStage for StreamPreprocessStage {
     fn name(&self) -> &'static str {
         "stream-preprocess"
@@ -469,9 +434,6 @@ impl FoldStage for StreamPreprocessStage {
 /// and the cached IDF vector is maintained touched-terms-only.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamVectorizeStage;
-
-/// Static instance backing the stream DAG.
-pub static STREAM_VECTORIZE: StreamVectorizeStage = StreamVectorizeStage;
 
 fn weighting_tag(w: Weighting) -> u8 {
     match w {
@@ -606,9 +568,6 @@ impl FoldStage for StreamVectorizeStage {
 #[derive(Debug, Clone, Copy)]
 pub struct StreamTopicStage;
 
-/// Static instance backing [`crate::stage::Stage::incremental`].
-pub static STREAM_TOPICS: StreamTopicStage = StreamTopicStage;
-
 impl FoldStage for StreamTopicStage {
     fn name(&self) -> &'static str {
         "stream-topics"
@@ -675,9 +634,6 @@ impl FoldStage for StreamTopicStage {
 /// re-detects over the bounded buffer only.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamEventStage;
-
-/// Static instance backing [`crate::stage::Stage::incremental`].
-pub static STREAM_EVENTS: StreamEventStage = StreamEventStage;
 
 fn encode_window(w: &SlidingWindow, out: &mut ByteWriter) {
     let (secs, head, docs, evicted) = w.parts();
@@ -803,9 +759,6 @@ impl FoldStage for StreamEventStage {
 #[derive(Debug, Clone, Copy)]
 pub struct StreamEmbedStage;
 
-/// Static instance backing [`crate::stage::Stage::incremental`].
-pub static STREAM_EMBED: StreamEmbedStage = StreamEmbedStage;
-
 impl StreamEmbedStage {
     fn w2v_config(config: &StreamConfig, slice_index: usize) -> Word2VecConfig {
         Word2VecConfig {
@@ -903,69 +856,16 @@ impl FoldStage for StreamEmbedStage {
 /// The stream DAG in topological (declaration) order.
 pub fn fold_stages() -> [&'static dyn FoldStage; 6] {
     [
-        &STREAM_COLLECT,
-        &STREAM_PREPROCESS,
-        &STREAM_VECTORIZE,
-        &STREAM_TOPICS,
-        &STREAM_EVENTS,
-        &STREAM_EMBED,
+        &StreamCollectStage,
+        &StreamPreprocessStage,
+        &StreamVectorizeStage,
+        &StreamTopicStage,
+        &StreamEventStage,
+        &StreamEmbedStage,
     ]
 }
 
 // --------------------------------------------------------------- executor
-
-/// Cache disposition of one fold in one run.
-#[derive(Debug, Clone)]
-pub struct FoldReport {
-    /// Stream stage name.
-    pub stage: &'static str,
-    /// Slice index.
-    pub slice: usize,
-    /// The chained cache fingerprint.
-    pub fingerprint: u64,
-    /// What the executor did.
-    pub cache: CacheStatus,
-    /// Wall time of the fold body or cache replay.
-    pub wall_ms: f64,
-    /// Serialized artifact payload size (0 when uncached).
-    pub bytes: u64,
-}
-
-/// What one stream run did, fold by fold, in materialization order.
-#[derive(Debug, Clone, Default)]
-pub struct StreamReport {
-    /// Per-fold records.
-    pub folds: Vec<FoldReport>,
-    /// Slices actually polled from the firehose (lazy: a fully warm
-    /// run polls none).
-    pub slices_polled: usize,
-    /// End-to-end wall time.
-    pub total_ms: f64,
-}
-
-impl StreamReport {
-    /// Looks up one fold's record.
-    pub fn fold(&self, stage: &str, slice: usize) -> Option<&FoldReport> {
-        self.folds.iter().find(|f| f.stage == stage && f.slice == slice)
-    }
-
-    /// How many fold bodies executed (misses + forced).
-    pub fn executed(&self) -> usize {
-        self.folds.iter().filter(|f| f.cache.executed()).count()
-    }
-
-    /// `(stage, slice)` pairs whose fold bodies executed, sorted.
-    pub fn executed_folds(&self) -> Vec<(&'static str, usize)> {
-        let mut out: Vec<(&'static str, usize)> = self
-            .folds
-            .iter()
-            .filter(|f| f.cache.executed())
-            .map(|f| (f.stage, f.slice))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-}
 
 /// The head state after folding `0..head`: every stage's artifact at
 /// the final slice, unwrapped.
@@ -1046,7 +946,9 @@ impl StreamPipeline {
             for (si, stage) in graph.iter().enumerate() {
                 let prev_fp = if k > 0 { fps[si][k - 1] } else { 0 };
                 let dep_fps: Vec<u64> = dep_idx[si].iter().map(|&d| fps[d][k]).collect();
-                let fp = slice_fingerprint(*stage, &self.config, slice_fp, prev_fp, &dep_fps);
+                let config_fp = stage.config_fingerprint(&self.config);
+                let code = stage.code_version();
+                let fp = fingerprint(stage.name(), code, config_fp, slice_fp, prev_fp, &dep_fps);
                 fps[si].push(fp);
             }
         }
@@ -1063,9 +965,9 @@ impl StreamPipeline {
     /// The on-disk artifact path of `(stage, slice)` under the
     /// configured cache directory, if caching is enabled.
     pub fn artifact_path(&self, stage: &str, slice: usize) -> Option<PathBuf> {
-        let dir = self.config.cache_dir.as_ref()?;
+        let dir = self.config.cache.dir.as_ref()?;
         let fp = self.fingerprint(stage, slice)?;
-        Some(ArtifactStore::open(dir).ok()?.path_for(&artifact_name(stage, slice), fp))
+        Some(ArtifactStore::open(dir).ok()?.path_for(&artifact_id(stage, Some(slice)), fp))
     }
 
     /// Folds slices `0..n_slices` and returns the head state plus the
@@ -1076,7 +978,7 @@ impl StreamPipeline {
     /// [`CoreError::EmptyInput`] for `n_slices == 0`,
     /// [`CoreError::Artifact`] past the horizon or on an unusable
     /// cache directory; fold-body errors propagate unchanged.
-    pub fn run(&self, n_slices: usize) -> Result<(StreamState, StreamReport)> {
+    pub fn run(&self, n_slices: usize) -> Result<(StreamState, RunReport)> {
         if n_slices == 0 {
             return Err(CoreError::EmptyInput("stream run of zero slices"));
         }
@@ -1088,20 +990,17 @@ impl StreamPipeline {
         }
         let run_start = Instant::now();
         let graph = fold_stages();
-        let store = match &self.config.cache_dir {
-            Some(dir) => Some(ArtifactStore::open(dir)?),
-            None => None,
-        };
+        let cache = ArtifactCache::open(&self.config.cache)?;
         let mut exec = Exec {
             config: &self.config,
             firehose: &self.firehose,
             graph,
             dep_idx: resolve_deps(&graph),
             fps: self.fingerprints(n_slices),
-            store,
+            cache: &cache,
             memo: HashMap::new(),
             slices: HashMap::new(),
-            report: StreamReport::default(),
+            report: RunReport::default(),
         };
         let head = n_slices - 1;
         for si in 0..graph.len() {
@@ -1118,14 +1017,9 @@ impl StreamPipeline {
             vectors: take(5).into_vectors()?,
         };
         exec.report.slices_polled = exec.slices.len();
-        exec.report.total_ms = run_start.elapsed().as_secs_f64() * 1e3;
+        exec.report.total_ms = ms_since(run_start);
         Ok((state, exec.report))
     }
-}
-
-/// Artifact id of `(stage, slice)` in the store.
-fn artifact_name(stage: &str, slice: usize) -> String {
-    format!("{stage}@{slice}")
 }
 
 fn resolve_deps(graph: &[&'static dyn FoldStage; 6]) -> Vec<Vec<usize>> {
@@ -1153,47 +1047,37 @@ struct Exec<'a> {
     graph: [&'static dyn FoldStage; 6],
     dep_idx: Vec<Vec<usize>>,
     fps: Vec<Vec<u64>>,
-    store: Option<ArtifactStore>,
+    cache: &'a ArtifactCache,
     memo: HashMap<(usize, usize), StreamArtifact>,
     slices: HashMap<usize, TimeSlice>,
-    report: StreamReport,
+    report: RunReport,
 }
 
 impl Exec<'_> {
-    /// Materializes `(stage si, slice k)` into the memo: cache replay
-    /// when possible, otherwise recurse to `(si, k − 1)` and the
-    /// slice-`k` dependencies and fold.
+    /// Materializes `(stage si, slice k)` into the memo through the
+    /// shared cache path: replay when possible, otherwise
+    /// [`fold`](Exec::fold).
     fn materialize(&mut self, si: usize, k: usize) -> Result<()> {
         if self.memo.contains_key(&(si, k)) {
             return Ok(());
         }
-        let stage = self.graph[si];
-        let fp = self.fps[si][k];
-        let name = artifact_name(stage.name(), k);
-        let fold_start = Instant::now();
+        let (stage, fp, cache) = (self.graph[si], self.fps[si][k], self.cache);
+        let (value, record) = cache.node(
+            stage.name(),
+            Some(k),
+            fp,
+            |r| stage.decode(r),
+            || self.fold(si, k),
+            |v, w| stage.encode(v, w),
+        )?;
+        self.memo.insert((si, k), value);
+        self.report.stages.push(record);
+        Ok(())
+    }
 
-        if !self.config.force {
-            if let Some(store) = &self.store {
-                if let Some(payload) = store.load(&name, fp) {
-                    let mut r = ByteReader::new(&payload);
-                    if let Ok(value) = stage.decode(&mut r) {
-                        if r.is_empty() {
-                            self.memo.insert((si, k), value);
-                            self.report.folds.push(FoldReport {
-                                stage: stage.name(),
-                                slice: k,
-                                fingerprint: fp,
-                                cache: CacheStatus::Hit,
-                                wall_ms: fold_start.elapsed().as_secs_f64() * 1e3,
-                                bytes: payload.len() as u64,
-                            });
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-
+    /// Recurses to `(si, k − 1)` and the slice-`k` dependencies, polls
+    /// slice `k` if no earlier fold did, and folds.
+    fn fold(&mut self, si: usize, k: usize) -> Result<StreamArtifact> {
         if k > 0 {
             self.materialize(si, k - 1)?;
         }
@@ -1201,30 +1085,10 @@ impl Exec<'_> {
         for &d in &deps {
             self.materialize(d, k)?;
         }
-        if !self.slices.contains_key(&k) {
-            self.slices.insert(k, self.firehose.poll(k));
-        }
-        let slice = &self.slices[&k];
+        let slice = self.slices.entry(k).or_insert_with(|| self.firehose.poll(k));
         let prev = if k > 0 { self.memo.get(&(si, k - 1)) } else { None };
         let ups: Vec<&StreamArtifact> = deps.iter().map(|&d| &self.memo[&(d, k)]).collect();
-        let value = stage.fold(self.config, prev, &ups, slice)?;
-        let mut bytes = 0u64;
-        if let Some(store) = &self.store {
-            let mut w = ByteWriter::new();
-            stage.encode(&value, &mut w)?;
-            bytes = w.len() as u64;
-            store.save(&name, fp, w.as_bytes())?;
-        }
-        self.memo.insert((si, k), value);
-        self.report.folds.push(FoldReport {
-            stage: stage.name(),
-            slice: k,
-            fingerprint: fp,
-            cache: if self.config.force { CacheStatus::Forced } else { CacheStatus::Miss },
-            wall_ms: fold_start.elapsed().as_secs_f64() * 1e3,
-            bytes,
-        });
-        Ok(())
+        self.graph[si].fold(self.config, prev, &ups, slice)
     }
 }
 
@@ -1252,8 +1116,7 @@ mod tests {
             window_slices: 4,
             embed_dim: 8,
             embed_epochs: 1,
-            cache_dir: None,
-            force: false,
+            cache: CacheConfig::default(),
         }
     }
 
@@ -1292,8 +1155,8 @@ mod tests {
         assert_ne!(fps[3][1], fps2[3][1]);
         // Cache knobs never fingerprint.
         let mut cached = tiny_config();
-        cached.cache_dir = Some(PathBuf::from("/tmp/x"));
-        cached.force = true;
+        cached.cache.dir = Some(PathBuf::from("/tmp/x"));
+        cached.cache.force = true;
         assert_eq!(fps, StreamPipeline::new(cached).fingerprints(2));
     }
 
@@ -1325,7 +1188,7 @@ mod tests {
         let (warm, report) = pipeline.run(2).expect("warm");
         assert_eq!(cold.content_digest(), warm.content_digest());
         assert_eq!(report.executed(), 0, "warm run must fold nothing");
-        assert_eq!(report.folds.len(), 6, "warm run loads only the head slice");
+        assert_eq!(report.stages.len(), 6, "warm run loads only the head slice");
         assert_eq!(report.slices_polled, 0, "warm run must not poll the firehose");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1356,10 +1219,10 @@ mod tests {
         let mut config = tiny_config().with_cache_dir(&dir);
         let pipeline = StreamPipeline::new(config.clone());
         pipeline.run(2).expect("seed");
-        config.force = true;
+        config.cache.force = true;
         let (_, report) = StreamPipeline::new(config).run(2).expect("forced");
         assert_eq!(report.executed(), 12);
-        assert!(report.folds.iter().all(|f| f.cache == CacheStatus::Forced));
+        assert!(report.stages.iter().all(|f| f.cache == crate::CacheStatus::Forced));
         std::fs::remove_dir_all(&dir).ok();
     }
 

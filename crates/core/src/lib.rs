@@ -19,13 +19,17 @@
 //! [`stage`] carves the architecture into an explicit DAG of
 //! fingerprinted stages; [`pipeline`] drives that graph over a
 //! content-addressed artifact cache, so warm re-runs replay stages
-//! from disk bit for bit; [`matching`] implements the minimum-cost-
-//! flow matching the paper lists as future work; [`report`] renders
-//! the tables the benches print.
+//! from disk bit for bit; [`incremental`] folds the same pipeline one
+//! firehose slice at a time. Both executors share one per-node cache
+//! path, fingerprint recipe and run report ([`cache`]).
+//! [`matching`] implements the minimum-cost-flow matching the paper
+//! lists as future work; [`report`] renders the tables the benches
+//! print.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cache;
 pub mod checkpoint;
 pub mod collect;
 pub mod correlate;
@@ -45,11 +49,9 @@ pub mod topic_module;
 pub mod trending;
 
 pub use error::{CoreError, Result};
-pub use pipeline::{
-    CacheConfig, CacheStatus, Pipeline, PipelineConfig, PipelineOutput, RunReport, StageReport,
-};
+pub use cache::{CacheConfig, CacheStatus, RunReport, StageReport};
+pub use pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 pub use incremental::{
-    fold_stages, FoldReport, FoldStage, StreamArtifact, StreamConfig, StreamPipeline,
-    StreamReport, StreamState,
+    fold_stages, FoldStage, StreamArtifact, StreamConfig, StreamPipeline, StreamState,
 };
 pub use stage::{ArtifactSet, ArtifactValue, Stage};

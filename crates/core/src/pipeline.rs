@@ -6,12 +6,14 @@
 //! order. For each stage it computes the fingerprint (config + code
 //! version + upstream fingerprints), consults the cache when a
 //! [`CacheConfig::dir`] is set, and only executes the stage body on a
-//! miss. A warm re-run therefore executes zero stage bodies and is
-//! bit-identical to the cold run; a re-run with one knob changed
-//! recomputes exactly the downstream cone of that knob.
+//! miss; the per-stage cache path is [`crate::cache`]'s, shared with
+//! the stream executor. A warm re-run therefore executes zero stage
+//! bodies and is bit-identical to the cold run; a re-run with one knob
+//! changed recomputes exactly the downstream cone of that knob.
 
+use crate::cache::{ms_since, ArtifactCache, CacheConfig, RunReport};
 use crate::correlate::CorrelationResult;
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::event_module::{encode_event_list, EventModuleConfig};
 use crate::features::{build_dataset, encode_assignments, Dataset, DatasetVariant, EventAssignment};
 use crate::patterns_module::{encode_patterns, PatternStageConfig, PatternsOutput};
@@ -21,32 +23,11 @@ use crate::topic_module::{encode_topics, NewsTopics, TopicModuleConfig};
 use crate::trending::{encode_trending, TrendingTopic};
 use nd_embed::WordVectors;
 use nd_events::Event;
-use nd_store::{fnv1a64, ArtifactStore, ByteReader, ByteWriter};
+use nd_store::{fnv1a64, ByteWriter};
 use nd_synth::{encode_world, World, WorldConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Artifact-cache controls. None of these contribute to stage
-/// fingerprints: they steer *whether* cached artifacts are used, not
-/// *what* the pipeline computes.
-#[derive(Debug, Clone, Default)]
-pub struct CacheConfig {
-    /// Run directory holding `<stage>-<fingerprint>.art` files plus
-    /// the `run_report.json` sidecar. `None` disables caching (every
-    /// stage recomputes in memory, nothing is persisted).
-    pub dir: Option<PathBuf>,
-    /// Recompute every stage even on a cache hit (cold run); results
-    /// still overwrite the cache.
-    pub force: bool,
-    /// Recompute from this stage onward regardless of cache state;
-    /// stages before it may still replay from cache.
-    pub from: Option<String>,
-    /// Stop after this stage; later stages are skipped entirely
-    /// (use [`Pipeline::execute`] — a full [`PipelineOutput`] cannot
-    /// be assembled from a truncated run).
-    pub until: Option<String>,
-}
 
 /// Full pipeline configuration.
 #[derive(Debug, Clone)]
@@ -117,120 +98,6 @@ impl PipelineConfig {
     }
 }
 
-/// Cache disposition of one stage in one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheStatus {
-    /// Replayed from a cached artifact; the body did not execute.
-    Hit,
-    /// No usable cached artifact; the body executed.
-    Miss,
-    /// `force`/`from` demanded recomputation; the body executed.
-    Forced,
-    /// Past the `until` stage; neither cache nor body was touched.
-    Skipped,
-}
-
-impl CacheStatus {
-    /// Stable lowercase label (JSON / metrics).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheStatus::Hit => "hit",
-            CacheStatus::Miss => "miss",
-            CacheStatus::Forced => "forced",
-            CacheStatus::Skipped => "skipped",
-        }
-    }
-
-    /// Whether the stage body executed.
-    pub fn executed(self) -> bool {
-        matches!(self, CacheStatus::Miss | CacheStatus::Forced)
-    }
-}
-
-/// Per-stage observability record.
-#[derive(Debug, Clone)]
-pub struct StageReport {
-    /// Stage name.
-    pub stage: &'static str,
-    /// The stage's cache fingerprint for this run.
-    pub fingerprint: u64,
-    /// What the executor did.
-    pub cache: CacheStatus,
-    /// Wall time of the stage (body or cache replay).
-    pub wall_ms: f64,
-    /// Serialized artifact payload size (0 when uncached/skipped).
-    pub bytes: u64,
-}
-
-/// What one pipeline run did, stage by stage.
-#[derive(Debug, Clone, Default)]
-pub struct RunReport {
-    /// Per-stage records in execution order.
-    pub stages: Vec<StageReport>,
-    /// End-to-end wall time.
-    pub total_ms: f64,
-}
-
-impl RunReport {
-    /// Looks up one stage's record.
-    pub fn stage(&self, name: &str) -> Option<&StageReport> {
-        self.stages.iter().find(|s| s.stage == name)
-    }
-
-    /// How many stage bodies executed (cache misses + forced).
-    pub fn executed(&self) -> usize {
-        self.stages.iter().filter(|s| s.cache.executed()).count()
-    }
-
-    /// JSON rendering (the `run_report.json` sidecar format).
-    pub fn to_json(&self) -> String {
-        let stages: Vec<serde_json::Value> = self
-            .stages
-            .iter()
-            .map(|s| {
-                serde_json::json!({
-                    "stage": s.stage,
-                    "fingerprint": format!("{:016x}", s.fingerprint),
-                    "cache": s.cache.as_str(),
-                    "wall_ms": s.wall_ms,
-                    "bytes": s.bytes,
-                })
-            })
-            .collect();
-        serde_json::json!({ "stages": stages, "total_ms": self.total_ms }).to_string()
-    }
-
-    /// Parses a `run_report.json` sidecar back into a report. Stage
-    /// names are matched against the compiled-in registry; unknown
-    /// stages or malformed fields are dropped.
-    pub fn from_json(text: &str) -> Option<RunReport> {
-        let v: serde_json::Value = serde_json::from_str(text).ok()?;
-        let mut report = RunReport { stages: Vec::new(), total_ms: v["total_ms"].as_f64()? };
-        for s in v["stages"].as_array()? {
-            let name = s["stage"].as_str()?;
-            let Some(stage) =
-                stages().iter().map(|st| st.name()).find(|n| *n == name)
-            else {
-                continue;
-            };
-            let cache = match s["cache"].as_str()? {
-                "hit" => CacheStatus::Hit,
-                "miss" => CacheStatus::Miss,
-                "forced" => CacheStatus::Forced,
-                _ => CacheStatus::Skipped,
-            };
-            report.stages.push(StageReport {
-                stage,
-                fingerprint: u64::from_str_radix(s["fingerprint"].as_str()?, 16).ok()?,
-                cache,
-                wall_ms: s["wall_ms"].as_f64()?,
-                bytes: s["bytes"].as_u64()?,
-            });
-        }
-        Some(report)
-    }
-}
-
 /// Everything the pipeline produced, stage by stage.
 #[derive(Debug, Clone)]
 pub struct PipelineOutput {
@@ -277,9 +144,9 @@ impl Pipeline {
     /// final artifacts.
     ///
     /// # Errors
-    /// Returns [`CoreError::NoOutput`] when a stage that later stages
-    /// depend on produces nothing (e.g. no Twitter events survive the
-    /// 10-tweet rule).
+    /// Returns [`crate::CoreError::NoOutput`] when a stage that later
+    /// stages depend on produces nothing (e.g. no Twitter events
+    /// survive the 10-tweet rule).
     pub fn run(&self) -> Result<PipelineOutput> {
         self.run_with_report().map(|(output, _)| output)
     }
@@ -288,116 +155,47 @@ impl Pipeline {
     /// cache/timing report.
     ///
     /// # Errors
-    /// As [`run`](Pipeline::run); additionally
-    /// [`CoreError::Artifact`] when `cache.until` truncated the run
-    /// before the final stage.
+    /// As [`run`](Pipeline::run).
     pub fn run_with_report(&self) -> Result<(PipelineOutput, RunReport)> {
         let (mut artifacts, report) = self.execute()?;
         let output = PipelineOutput::assemble(&mut artifacts)?;
         Ok((output, report))
     }
 
-    /// Walks the stage DAG, replaying cached artifacts and executing
-    /// bodies only on misses. Returns whatever was materialized —
-    /// with `cache.until` set, later artifacts are absent.
+    /// Walks the stage DAG in declaration order, running each stage
+    /// through the shared cache path ([`crate::cache`]): replay on a
+    /// hit, execute the body on a miss.
     ///
     /// # Errors
-    /// [`CoreError::Artifact`] for unknown stage names in
-    /// `cache.from`/`cache.until` or an unusable cache directory;
+    /// [`crate::CoreError::Artifact`] for an unusable cache directory;
     /// stage-body errors propagate unchanged.
     pub fn execute(&self) -> Result<(ArtifactSet, RunReport)> {
         let cfg = &self.config;
-        let graph = stages();
-        let stage_index = |label: &str, name: &Option<String>| -> Result<Option<usize>> {
-            match name {
-                None => Ok(None),
-                Some(n) => graph
-                    .iter()
-                    .position(|s| s.name() == n.as_str())
-                    .map(Some)
-                    .ok_or_else(|| {
-                        CoreError::Artifact(format!("unknown stage `{n}` in `{label}`"))
-                    }),
-            }
-        };
-        let from_idx = stage_index("from", &cfg.cache.from)?;
-        let until_idx = stage_index("until", &cfg.cache.until)?;
-        let store = match &cfg.cache.dir {
-            Some(dir) => Some(ArtifactStore::open(dir)?),
-            None => None,
-        };
-
+        let cache = ArtifactCache::open(&cfg.cache)?;
         let run_start = Instant::now();
         let mut fingerprints: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut artifacts = ArtifactSet::new();
         let mut report = RunReport::default();
 
-        for (i, stage) in graph.iter().enumerate() {
+        for stage in stages() {
             let input_fps: Vec<u64> =
                 stage.deps().iter().map(|d| fingerprints[d]).collect();
             let fp = stage.fingerprint(cfg, &input_fps);
             fingerprints.insert(stage.name(), fp);
-
-            if until_idx.is_some_and(|u| i > u) {
-                report.stages.push(StageReport {
-                    stage: stage.name(),
-                    fingerprint: fp,
-                    cache: CacheStatus::Skipped,
-                    wall_ms: 0.0,
-                    bytes: 0,
-                });
-                continue;
-            }
-
-            let forced = cfg.cache.force || from_idx.is_some_and(|f| i >= f);
-            let stage_start = Instant::now();
-            let mut bytes = 0u64;
-
-            // A cached artifact is usable only when it decodes fully:
-            // truncation, codec drift, or trailing garbage all read as
-            // misses and fall through to recomputation.
-            let mut replayed = None;
-            if !forced {
-                if let Some(store) = &store {
-                    if let Some(payload) = store.load(stage.name(), fp) {
-                        let mut r = ByteReader::new(&payload);
-                        if let Ok(value) = stage.decode(&mut r) {
-                            if r.is_empty() {
-                                bytes = payload.len() as u64;
-                                replayed = Some(value);
-                            }
-                        }
-                    }
-                }
-            }
-
-            let (value, status) = match replayed {
-                Some(value) => (value, CacheStatus::Hit),
-                None => {
-                    let value = stage.run(cfg, &artifacts)?;
-                    if let Some(store) = &store {
-                        let mut w = ByteWriter::new();
-                        stage.encode(&value, &mut w)?;
-                        bytes = w.len() as u64;
-                        store.save(stage.name(), fp, w.as_bytes())?;
-                    }
-                    let status =
-                        if forced { CacheStatus::Forced } else { CacheStatus::Miss };
-                    (value, status)
-                }
-            };
+            let (value, record) = cache.node(
+                stage.name(),
+                None,
+                fp,
+                |r| stage.decode(r),
+                || stage.run(cfg, &artifacts),
+                |v, w| stage.encode(v, w),
+            )?;
             artifacts.insert(stage.name(), value);
-            report.stages.push(StageReport {
-                stage: stage.name(),
-                fingerprint: fp,
-                cache: status,
-                wall_ms: stage_start.elapsed().as_secs_f64() * 1e3,
-                bytes,
-            });
+            report.stages.push(record);
         }
 
-        report.total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-        if let Some(store) = &store {
+        report.total_ms = ms_since(run_start);
+        if let Some(store) = cache.store() {
             store.write_text("run_report.json", &report.to_json())?;
         }
         Ok((artifacts, report))
@@ -410,7 +208,7 @@ impl PipelineOutput {
     /// preprocessing corpus, never cloned).
     ///
     /// # Errors
-    /// [`CoreError::Artifact`] when a stage artifact is absent.
+    /// [`crate::CoreError::Artifact`] when a stage artifact is absent.
     pub fn assemble(artifacts: &mut ArtifactSet) -> Result<PipelineOutput> {
         let world = artifacts.take_world()?;
         let corpora = artifacts.take_corpora()?;
@@ -562,34 +360,5 @@ mod tests {
         assert_eq!(a2.x.cols(), a1.x.cols() + 8);
         assert_eq!(a1.y_likes.len(), a1.len());
         assert!(a1.y_likes.iter().all(|&y| y < 3));
-    }
-
-    #[test]
-    fn unknown_stage_names_rejected() {
-        let mut config = PipelineConfig::small();
-        config.cache.from = Some("nonsense".into());
-        let err = Pipeline::new(config).execute().unwrap_err();
-        assert!(err.to_string().contains("nonsense"), "got: {err}");
-    }
-
-    #[test]
-    fn run_report_json_roundtrips() {
-        let report = RunReport {
-            stages: vec![StageReport {
-                stage: "collect",
-                fingerprint: 0xdead_beef,
-                cache: CacheStatus::Hit,
-                wall_ms: 1.5,
-                bytes: 42,
-            }],
-            total_ms: 2.0,
-        };
-        let back = RunReport::from_json(&report.to_json()).expect("parse");
-        assert_eq!(back.stages.len(), 1);
-        assert_eq!(back.stages[0].stage, "collect");
-        assert_eq!(back.stages[0].fingerprint, 0xdead_beef);
-        assert_eq!(back.stages[0].cache, CacheStatus::Hit);
-        assert_eq!(back.stages[0].bytes, 42);
-        assert!((back.total_ms - 2.0).abs() < 1e-12);
     }
 }

@@ -12,15 +12,17 @@
 //!
 //! ## Fingerprint recipe
 //!
-//! A stage's fingerprint is the FNV-1a hash of, in order: the cache
-//! [`FORMAT_VERSION`], the stage name, its code-version constant
-//! (bumped by hand when a stage body changes semantics), its own
-//! config fingerprint, and the fingerprints of its dependencies in
-//! declaration order. Upstream changes therefore cascade: editing the
-//! world seed re-fingerprints every stage, while editing
+//! A stage's fingerprint is [`crate::cache::fingerprint`] — the one
+//! recipe the stream DAG uses too — over, in order: the cache format
+//! version, the stage name, its code-version constant (bumped by hand
+//! when a stage body changes semantics), its own config fingerprint,
+//! zero for the slice words, and the fingerprints of its dependencies
+//! in declaration order. Upstream changes therefore cascade: editing
+//! the world seed re-fingerprints every stage, while editing
 //! `correlation_threshold` re-fingerprints only `correlation` and
-//! `features`, and a mining knob re-fingerprints only `patterns`. Cache-control knobs ([`CacheConfig`]
-//! [`crate::pipeline::CacheConfig`]) are deliberately excluded.
+//! `features`, and a mining knob re-fingerprints only `patterns`.
+//! Cache-control knobs ([`crate::cache::CacheConfig`]) are
+//! deliberately excluded.
 
 use crate::correlate::{correlate, correlate_reverse, CorrelationOutput};
 use crate::correlate::{decode_correlation, encode_correlation};
@@ -40,10 +42,6 @@ use nd_events::Event;
 use nd_store::{fnv1a64, ArtifactError, ByteReader, ByteWriter};
 use nd_synth::{decode_world, encode_world, World};
 use std::collections::BTreeMap;
-
-/// Bumped when the artifact framing or fingerprint recipe changes;
-/// invalidates every cached artifact at once.
-pub const FORMAT_VERSION: u64 = 1;
 
 /// One artifact — the output of exactly one stage.
 #[derive(Debug, Clone)]
@@ -118,11 +116,6 @@ impl ArtifactSet {
         self.map.insert(name, value);
     }
 
-    /// Whether the named stage's artifact is present.
-    pub fn contains(&self, name: &str) -> bool {
-        self.map.contains_key(name)
-    }
-
     artifact_accessors! {
         world, take_world, World => World, "collect";
         corpora, take_corpora, Corpora => Corpora, "preprocess";
@@ -154,18 +147,11 @@ pub trait Stage {
     /// reads. Cache-control knobs must not contribute.
     fn config_fingerprint(&self, config: &PipelineConfig) -> u64;
 
-    /// The stage's cache key: format version + name + code version +
-    /// config fingerprint + upstream fingerprints, FNV-1a combined.
+    /// The stage's cache key: the shared [`crate::cache::fingerprint`]
+    /// recipe, unsliced (slice and previous fingerprints are 0).
     fn fingerprint(&self, config: &PipelineConfig, input_fps: &[u64]) -> u64 {
-        let mut w = ByteWriter::new();
-        w.put_u64(FORMAT_VERSION);
-        w.put_str(self.name());
-        w.put_u64(self.code_version());
-        w.put_u64(self.config_fingerprint(config));
-        for &fp in input_fps {
-            w.put_u64(fp);
-        }
-        fnv1a64(w.as_bytes())
+        let config_fp = self.config_fingerprint(config);
+        crate::cache::fingerprint(self.name(), self.code_version(), config_fp, 0, 0, input_fps)
     }
 
     /// Executes the stage body against already-materialized inputs.
@@ -186,15 +172,6 @@ pub trait Stage {
     /// # Errors
     /// [`ArtifactError`] on truncation or structural drift.
     fn decode(&self, r: &mut ByteReader<'_>) -> std::result::Result<ArtifactValue, ArtifactError>;
-
-    /// The streaming counterpart of this stage in the incremental
-    /// fold DAG ([`crate::incremental`]), when one exists. Batch-only
-    /// stages (trending, correlation, features, patterns) answer
-    /// `None`: they are cheap projections recomputed per hot-swap
-    /// rather than folded per slice.
-    fn incremental(&self) -> Option<&'static dyn crate::incremental::FoldStage> {
-        None
-    }
 }
 
 /// Hashes a sub-config through its `Debug` rendering — stable for a
@@ -217,9 +194,6 @@ fn wrong_variant(stage: &'static str) -> CoreError {
 pub struct CollectStage;
 
 impl Stage for CollectStage {
-    fn incremental(&self) -> Option<&'static dyn crate::incremental::FoldStage> {
-        Some(&crate::incremental::STREAM_COLLECT)
-    }
     fn name(&self) -> &'static str {
         "collect"
     }
@@ -258,9 +232,6 @@ impl Stage for CollectStage {
 pub struct PreprocessStage;
 
 impl Stage for PreprocessStage {
-    fn incremental(&self) -> Option<&'static dyn crate::incremental::FoldStage> {
-        Some(&crate::incremental::STREAM_PREPROCESS)
-    }
     fn name(&self) -> &'static str {
         "preprocess"
     }
@@ -296,9 +267,6 @@ impl Stage for PreprocessStage {
 pub struct TopicStage;
 
 impl Stage for TopicStage {
-    fn incremental(&self) -> Option<&'static dyn crate::incremental::FoldStage> {
-        Some(&crate::incremental::STREAM_TOPICS)
-    }
     fn name(&self) -> &'static str {
         "topics"
     }
@@ -334,9 +302,6 @@ impl Stage for TopicStage {
 pub struct EventStage;
 
 impl Stage for EventStage {
-    fn incremental(&self) -> Option<&'static dyn crate::incremental::FoldStage> {
-        Some(&crate::incremental::STREAM_EVENTS)
-    }
     fn name(&self) -> &'static str {
         "events"
     }
@@ -381,9 +346,6 @@ impl Stage for EventStage {
 pub struct EmbeddingStage;
 
 impl Stage for EmbeddingStage {
-    fn incremental(&self) -> Option<&'static dyn crate::incremental::FoldStage> {
-        Some(&crate::incremental::STREAM_EMBED)
-    }
     fn name(&self) -> &'static str {
         "embeddings"
     }

@@ -67,7 +67,7 @@ fn streaming_modules_are_in_lint_scope() {
         "crates/vectorize/src/incremental.rs",
         "crates/events/src/window.rs",
         "crates/core/src/incremental.rs",
-        "crates/serve/src/stream.rs",
+        "crates/serve/src/retrain.rs",
     ] {
         assert!(
             files.iter().any(|p| p.ends_with(needle)),

@@ -29,11 +29,11 @@
 //! - [`metrics`] — lock-free counters/histograms for `GET /metrics`.
 //! - [`hist`] — log-linear latency histograms behind the p50/p99/p999
 //!   quantile series, mergeable across shards.
-//! - [`retrain`] — reload-with-retrain: re-run the staged pipeline
-//!   from a cached run directory, refit the served models, hot-swap.
-//! - [`stream`] — the per-slice refresh loop: fold the next firehose
-//!   slice through the incremental DAG (cached prefix replays from
-//!   disk), refit on the new head state, hot-swap.
+//! - [`retrain`] — the refresh loop behind both reload kinds: re-run
+//!   the staged pipeline from a cached run directory, or fold the
+//!   next firehose slice through the incremental DAG (cached prefix
+//!   replays from disk); then one shared train → checkpoint → swap
+//!   step refits the served models and hot-swaps them.
 //! - [`client`] — a small blocking client used by the tests, the
 //!   demo, and the load generator.
 //! - [`loadgen`] — deterministic closed/open-loop load generation and
@@ -63,7 +63,6 @@ pub mod registry;
 pub mod retrain;
 pub mod server;
 pub mod shard;
-pub mod stream;
 
 pub use batcher::{BatchConfig, Batcher, SubmitError};
 pub use cache::LruCache;
@@ -72,10 +71,12 @@ pub use hist::{HistSnapshot, LatencyHist};
 pub use loadgen::{BurstProfile, LoadSummary, TrafficMix};
 pub use metrics::{Endpoint, Metrics};
 pub use registry::{ModelHandle, ModelSpec, Registry, SwapEvent};
-pub use retrain::{retrain_from_run, RetrainModel, RetrainSpec};
+pub use retrain::{
+    retrain_from_run, RetrainModel, RetrainSpec, SliceRetrain, StreamRetrainSpec,
+    StreamRetrainer,
+};
 pub use server::{ServeConfig, Server};
 pub use shard::{Shard, ShardConfig, ShardSet};
-pub use stream::{SliceRetrain, StreamRetrainSpec, StreamRetrainer};
 
 /// Errors surfaced while configuring or running the service.
 #[derive(Debug)]

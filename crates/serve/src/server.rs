@@ -27,17 +27,18 @@
 use crate::batcher::{BatchConfig, SubmitError};
 use crate::http::{read_request, write_response, write_response_with, ConnBufs, ReadOutcome, ReadParams};
 use crate::metrics::{render_quantiles, Endpoint, Metrics};
-use crate::registry::{ModelHandle, Registry};
-use crate::retrain::{retrain_from_run, RetrainSpec};
+use crate::registry::{ModelHandle, Registry, SwapEvent};
+use crate::retrain::{
+    retrain_from_run, RetrainSpec, SliceRetrain, StreamRetrainSpec, StreamRetrainer,
+};
 use crate::shard::{Shard, ShardConfig, ShardSet};
-use crate::stream::{SliceRetrain, StreamRetrainSpec, StreamRetrainer};
 use crate::hist::HistSnapshot;
 use crate::ServeError;
 use nd_core::patterns_module::PatternsOutput;
-use nd_core::pipeline::RunReport;
+use nd_core::{RunReport, StageReport};
 use nd_linalg::vecops::argmax;
 use nd_patterns::{symbol_label, PatternCategory};
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -133,7 +134,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn apply_swaps(&self, events: &[crate::registry::SwapEvent]) {
+    fn apply_swaps(&self, events: &[SwapEvent]) {
         self.metrics.model_swaps.add(events.len() as u64);
         let pruned: usize = events.iter().map(|e| e.pruned).sum();
         self.metrics.checkpoints_pruned.add(pruned as u64);
@@ -669,26 +670,10 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
             out.planted.len() as u64,
         ));
     }
-    // Clone out under a brief lock; rendering happens lock-free.
+    // Clone out under brief locks; rendering happens lock-free.
     let last_run = shared.last_run.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    if let Some(report) = last_run {
-        for s in &report.stages {
-            gauges.push((
-                format!("nd_pipeline_stage_wall_ms{{stage=\"{}\"}}", s.stage),
-                s.wall_ms as u64,
-            ));
-            gauges.push((
-                format!("nd_pipeline_stage_cache_hit{{stage=\"{}\"}}", s.stage),
-                u64::from(!s.cache.executed()),
-            ));
-            gauges.push((
-                format!("nd_pipeline_artifact_bytes{{stage=\"{}\"}}", s.stage),
-                s.bytes,
-            ));
-        }
-    }
     let last_slice = shared.last_slice.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    if let Some(slice) = last_slice {
+    if let Some(slice) = &last_slice {
         gauges.push(("nd_stream_head_slice".to_string(), slice.head as u64));
         gauges.push((
             "nd_stream_slices_polled".to_string(),
@@ -701,14 +686,26 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
             "nd_stream_staleness_ms".to_string(),
             slice.completed_at.elapsed().as_millis().min(u64::MAX as u128) as u64,
         ));
-        for f in &slice.stream.folds {
-            let label = format!("{{stage=\"{}\",slice=\"{}\"}}", f.stage, f.slice);
-            gauges.push((format!("nd_stream_fold_wall_ms{label}"), f.wall_ms as u64));
-            gauges.push((
-                format!("nd_stream_fold_cache_hit{label}"),
-                u64::from(!f.cache.executed()),
-            ));
-            gauges.push((format!("nd_stream_fold_bytes{label}"), f.bytes));
+    }
+    // Batch stage records are labelled by stage, stream fold records
+    // by `{stage, slice}`.
+    let stage_gauges =
+        ["nd_pipeline_stage_wall_ms", "nd_pipeline_stage_cache_hit", "nd_pipeline_artifact_bytes"];
+    let fold_gauges = ["nd_stream_fold_wall_ms", "nd_stream_fold_cache_hit", "nd_stream_fold_bytes"];
+    let records = [
+        (last_run.as_ref(), false, stage_gauges),
+        (last_slice.as_ref().map(|s| &s.stream), true, fold_gauges),
+    ];
+    for (report, sliced, [wall, hit, bytes]) in records {
+        for r in report.iter().flat_map(|report| &report.stages) {
+            let label = if sliced {
+                format!("{{stage=\"{}\",slice=\"{}\"}}", r.stage, r.slice)
+            } else {
+                format!("{{stage=\"{}\"}}", r.stage)
+            };
+            gauges.push((format!("{wall}{label}"), r.wall_ms as u64));
+            gauges.push((format!("{hit}{label}"), u64::from(!r.cache.executed())));
+            gauges.push((format!("{bytes}{label}"), r.bytes));
         }
     }
     let mut text = shared.metrics.render(&gauges);
@@ -753,6 +750,21 @@ fn handle_models(shared: &Arc<Shared>) -> (u16, Vec<(&'static str, String)>, Val
     (200, Vec::new(), json!({"models": models}))
 }
 
+/// One record of a reload's run report, as the response renders it;
+/// stream fold records also carry their slice.
+fn record_json(r: &StageReport, sliced: bool) -> Value {
+    let mut record = Map::from([
+        ("stage".to_string(), json!(r.stage)),
+        ("cache".to_string(), json!(r.cache.as_str())),
+        ("wall_ms".to_string(), json!(r.wall_ms)),
+        ("bytes".to_string(), json!(r.bytes)),
+    ]);
+    if sliced {
+        record.insert("slice".to_string(), json!(r.slice));
+    }
+    Value::Object(record)
+}
+
 fn handle_reload(
     shared: &Arc<Shared>,
     request: &ConnBufs,
@@ -760,12 +772,17 @@ fn handle_reload(
     // `{"advance_stream": true}` folds the next firehose slice;
     // `{"run_dir": "..."}` selects batch reload-with-retrain; any
     // other body (including empty) is the plain checkpoint refresh.
+    // Each kind yields its swaps plus its own response sections, or an
+    // error status.
     let body_json = serde_json::from_slice::<Value>(request.body()).ok();
     let advance_stream = body_json
         .as_ref()
         .and_then(|v| v.get("advance_stream").and_then(Value::as_bool))
         .unwrap_or(false);
-    if advance_stream {
+    let run_dir = body_json
+        .as_ref()
+        .and_then(|v| v.get("run_dir").and_then(Value::as_str).map(PathBuf::from));
+    let reloaded: Result<(Vec<SwapEvent>, Map), (u16, String)> = if advance_stream {
         let Some(retrainer) = shared.stream.as_ref() else {
             return (
                 400,
@@ -773,58 +790,32 @@ fn handle_reload(
                 json!({"error": "server has no stream retrain spec configured"}),
             );
         };
-        return match retrainer.advance(&shared.registry) {
+        match retrainer.advance(&shared.registry) {
             Ok(slice) => {
-                shared.apply_swaps(&slice.swapped);
-                let swapped: Vec<Value> = slice
-                    .swapped
-                    .iter()
-                    .map(|e| {
-                        json!({"model": e.name, "from": e.from, "to": e.to, "pruned": e.pruned})
-                    })
-                    .collect();
-                let folds: Vec<Value> = slice
-                    .stream
-                    .folds
-                    .iter()
-                    .map(|f| {
-                        json!({
-                            "stage": f.stage,
-                            "slice": f.slice,
-                            "cache": f.cache.as_str(),
-                            "wall_ms": f.wall_ms,
-                            "bytes": f.bytes,
-                        })
-                    })
-                    .collect();
                 let executed = slice.stream.executed();
-                let body = json!({
-                    "swapped": swapped,
-                    "stream": {
-                        "head": slice.head,
-                        "horizon": retrainer.horizon(),
-                        "executed": executed,
-                        "replayed": slice.stream.folds.len() - executed,
-                        "slices_polled": slice.stream.slices_polled,
-                        "total_ms": slice.stream.total_ms,
-                        "dataset_rows": slice.dataset_rows,
-                        "trained": slice.trained,
-                        "train_ms": slice.train_ms,
-                        "folds": folds,
-                    },
+                let folds: Vec<Value> =
+                    slice.stream.stages.iter().map(|r| record_json(r, true)).collect();
+                let section = json!({
+                    "head": slice.head,
+                    "horizon": retrainer.horizon(),
+                    "executed": executed,
+                    "replayed": slice.stream.stages.len() - executed,
+                    "slices_polled": slice.stream.slices_polled,
+                    "total_ms": slice.stream.total_ms,
+                    "dataset_rows": slice.dataset_rows,
+                    "trained": slice.trained,
+                    "train_ms": slice.train_ms,
+                    "folds": folds,
                 });
+                let swapped = slice.swapped.clone();
                 *shared.last_slice.lock().unwrap_or_else(PoisonError::into_inner) =
                     Some(slice);
-                (200, Vec::new(), body)
+                Ok((swapped, Map::from([("stream".to_string(), section)])))
             }
-            Err(e @ ServeError::Config(_)) => (400, Vec::new(), json!({"error": e.to_string()})),
-            Err(e) => (500, Vec::new(), json!({"error": e.to_string()})),
-        };
-    }
-    let run_dir = body_json
-        .as_ref()
-        .and_then(|v| v.get("run_dir").and_then(Value::as_str).map(PathBuf::from));
-    if let Some(run_dir) = run_dir {
+            Err(e @ ServeError::Config(_)) => Err((400, e.to_string())),
+            Err(e) => Err((500, e.to_string())),
+        }
+    } else if let Some(run_dir) = run_dir {
         let Some(spec) = shared.retrain.as_ref() else {
             return (
                 400,
@@ -832,61 +823,51 @@ fn handle_reload(
                 json!({"error": "server has no retrain spec configured"}),
             );
         };
-        return match retrain_from_run(&shared.registry, spec, &run_dir) {
+        match retrain_from_run(&shared.registry, spec, &run_dir) {
             Ok((report, events, patterns)) => {
-                shared.apply_swaps(&events);
-                let swapped: Vec<Value> = events
-                    .iter()
-                    .map(|e| {
-                        json!({"model": e.name, "from": e.from, "to": e.to, "pruned": e.pruned})
-                    })
-                    .collect();
-                let stages: Vec<Value> = report
-                    .stages
-                    .iter()
-                    .map(|s| {
-                        json!({
-                            "stage": s.stage,
-                            "cache": s.cache.as_str(),
-                            "wall_ms": s.wall_ms,
-                            "bytes": s.bytes,
-                        })
-                    })
-                    .collect();
                 let executed = report.executed();
-                let body = json!({
-                    "swapped": swapped,
-                    "pipeline": {
-                        "executed": executed,
-                        "replayed": report.stages.len() - executed,
-                        "total_ms": report.total_ms,
-                        "stages": stages,
-                    },
-                    "patterns": {
-                        "cataloged": patterns.catalog.patterns.len(),
-                        "planted": patterns.planted.len(),
-                    },
+                let stages: Vec<Value> =
+                    report.stages.iter().map(|r| record_json(r, false)).collect();
+                let pipeline = json!({
+                    "executed": executed,
+                    "replayed": report.stages.len() - executed,
+                    "total_ms": report.total_ms,
+                    "stages": stages,
+                });
+                let patterns_section = json!({
+                    "cataloged": patterns.catalog.patterns.len(),
+                    "planted": patterns.planted.len(),
                 });
                 *shared.last_run.lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
                 *shared.patterns.lock().unwrap_or_else(PoisonError::into_inner) =
                     Some(Arc::new(patterns));
-                (200, Vec::new(), body)
+                Ok((
+                    events,
+                    Map::from([
+                        ("pipeline".to_string(), pipeline),
+                        ("patterns".to_string(), patterns_section),
+                    ]),
+                ))
             }
-            Err(e) => (500, Vec::new(), json!({"error": e.to_string()})),
-        };
-    }
-    match shared.registry.refresh() {
-        Ok(events) => {
+            Err(e) => Err((500, e.to_string())),
+        }
+    } else {
+        match shared.registry.refresh() {
+            Ok(events) => Ok((events, Map::new())),
+            Err(e) => Err((500, e.to_string())),
+        }
+    };
+    match reloaded {
+        Ok((events, mut body)) => {
             shared.apply_swaps(&events);
             let swapped: Vec<Value> = events
                 .iter()
-                .map(|e| {
-                    json!({"model": e.name, "from": e.from, "to": e.to, "pruned": e.pruned})
-                })
+                .map(|e| json!({"model": e.name, "from": e.from, "to": e.to, "pruned": e.pruned}))
                 .collect();
-            (200, Vec::new(), json!({"swapped": swapped}))
+            body.insert("swapped".to_string(), Value::Array(swapped));
+            (200, Vec::new(), Value::Object(body))
         }
-        Err(e) => (500, Vec::new(), json!({"error": e.to_string()})),
+        Err((status, error)) => (status, Vec::new(), json!({"error": error})),
     }
 }
 

@@ -5,7 +5,9 @@
 //! passes left in the workspace-shared cache. Tests share the cache
 //! directory, so they serialize through a file-local mutex.
 
-use newsdiff::core::pipeline::{CacheStatus, Pipeline, PipelineConfig, RunReport};
+use newsdiff::core::cache::{CacheStatus, RunReport};
+use newsdiff::core::pipeline::{Pipeline, PipelineConfig};
+use newsdiff::store::ArtifactStore;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
@@ -38,6 +40,33 @@ fn baseline_digest() -> u64 {
 
 fn status_of(report: &RunReport, stage: &str) -> CacheStatus {
     report.stage(stage).unwrap_or_else(|| panic!("no report for {stage}")).cache
+}
+
+/// The two ways the heal tests damage a cached artifact.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Truncate the file mid-payload: the NDART01 frame check rejects it.
+    Truncate,
+    /// Re-save the valid payload plus one byte under the same id and
+    /// fingerprint: the frame is sound, so only the executors' "payload
+    /// fully consumed" rule can reject it.
+    TrailingByte,
+}
+
+fn damage(store: &ArtifactStore, id: &str, fingerprint: u64, how: Damage) {
+    match how {
+        Damage::Truncate => {
+            let path = store.path_for(id, fingerprint);
+            let full = std::fs::metadata(&path).expect("metadata").len();
+            let file = std::fs::OpenOptions::new().write(true).open(&path).expect("open");
+            file.set_len(full / 2).expect("truncate");
+        }
+        Damage::TrailingByte => {
+            let mut payload = store.load(id, fingerprint).expect("valid cached payload");
+            payload.push(0);
+            store.save(id, fingerprint, &payload).expect("re-save with a trailing byte");
+        }
+    }
 }
 
 #[test]
@@ -118,34 +147,29 @@ fn pattern_min_support_change_recomputes_exactly_the_patterns_stage() {
 fn corrupted_artifact_recomputes_and_heals_instead_of_erroring() {
     let _guard = LOCK.lock().unwrap();
     let cold = baseline_digest();
-
-    // Truncate the cached trending artifact mid-payload.
-    let victim = std::fs::read_dir(dir())
-        .expect("cache dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("trending-") && n.ends_with(".art"))
-        })
-        .expect("trending artifact on disk");
+    let (_, warm) = Pipeline::new(config()).run_with_report().expect("warm run");
+    let fp = warm.stage("trending").expect("trending report").fingerprint;
+    let store = ArtifactStore::open(dir()).expect("cache dir");
+    let victim = store.path_for("trending", fp);
     let full = std::fs::metadata(&victim).expect("metadata").len();
-    let file = std::fs::OpenOptions::new().write(true).open(&victim).expect("open");
-    file.set_len(full / 2).expect("truncate");
-    drop(file);
 
-    // The damaged artifact reads as a miss: only trending recomputes
-    // (its fingerprint is unchanged, so downstream stages still hit),
-    // and the output is still bit-identical to the cold run.
-    let (out, report) = Pipeline::new(config()).run_with_report().expect("healing run");
-    assert_eq!(status_of(&report, "trending"), CacheStatus::Miss, "corruption = miss");
-    assert_eq!(report.executed(), 1, "only the damaged stage recomputes: {report:?}");
-    assert_eq!(out.content_digest(), cold);
+    for how in [Damage::Truncate, Damage::TrailingByte] {
+        damage(&store, "trending", fp, how);
 
-    // The recomputation healed the cache in place.
-    let (_, healed) = Pipeline::new(config()).run_with_report().expect("healed run");
-    assert_eq!(healed.executed(), 0);
-    assert_eq!(std::fs::metadata(&victim).expect("metadata").len(), full);
+        // The damaged artifact reads as a miss: only trending
+        // recomputes (its fingerprint is unchanged, so downstream
+        // stages still hit), and the output is still bit-identical to
+        // the cold run.
+        let (out, report) = Pipeline::new(config()).run_with_report().expect("healing run");
+        assert_eq!(status_of(&report, "trending"), CacheStatus::Miss, "{how:?} = miss");
+        assert_eq!(report.executed(), 1, "{how:?}: only the damaged stage recomputes: {report:?}");
+        assert_eq!(out.content_digest(), cold, "{how:?}");
+
+        // The recomputation healed the cache in place.
+        let (_, healed) = Pipeline::new(config()).run_with_report().expect("healed run");
+        assert_eq!(healed.executed(), 0, "{how:?}");
+        assert_eq!(std::fs::metadata(&victim).expect("metadata").len(), full, "{how:?}");
+    }
 }
 
 /// Streaming counterpart of the heal test above: damaging one slice
@@ -155,12 +179,10 @@ fn corrupted_artifact_recomputes_and_heals_instead_of_erroring() {
 #[test]
 fn corrupted_stream_slice_artifact_heals_by_recomputing_exactly_its_cone() {
     use newsdiff::core::incremental::{StreamConfig, StreamPipeline};
-    use newsdiff::core::pipeline::CacheStatus;
     use newsdiff::synth::{FirehoseConfig, WorldConfig};
 
     // Private to this test (its own directory), so no mutex needed.
     let dir = std::env::temp_dir().join(format!("nd-stream-heal-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
 
     // A 6-day world in 48-hour slices: 3 slices, cheap fold budgets.
     let base = StreamConfig {
@@ -184,79 +206,57 @@ fn corrupted_stream_slice_artifact_heals_by_recomputing_exactly_its_cone() {
     let (cold, _) = StreamPipeline::new(base).run(3).expect("cold run");
     let cold_digest = cold.content_digest();
 
-    // Populate slices 0..2, then truncate the head topics artifact.
-    pipeline.run(2).expect("prefix run");
-    let victim = pipeline.artifact_path("stream-topics", 1).expect("victim path");
-    let full = std::fs::metadata(&victim).expect("metadata").len();
-    let file = std::fs::OpenOptions::new().write(true).open(&victim).expect("open");
-    file.set_len(full / 2).expect("truncate");
-    drop(file);
+    for how in [Damage::Truncate, Damage::TrailingByte] {
+        // Populate slices 0..2, then damage the head topics artifact.
+        std::fs::remove_dir_all(&dir).ok();
+        pipeline.run(2).expect("prefix run");
+        let fp = pipeline.fingerprint("stream-topics", 1).expect("topics@1 fingerprint");
+        let victim = pipeline.artifact_path("stream-topics", 1).expect("victim path");
+        let full = std::fs::metadata(&victim).expect("metadata").len();
+        damage(&ArtifactStore::open(&dir).expect("cache dir"), "stream-topics@1", fp, how);
 
-    // Extending to slice 2 demands topics@1: the torn frame reads as
-    // a miss, topics@1 refolds from topics@0 + vectorize@1 (both
-    // replayed hits), and every stage folds slice 2. Exactly that
-    // cone — seven folds — executes.
-    let (state, report) = pipeline.run(3).expect("healing run");
-    assert_eq!(
-        report.executed_folds(),
-        vec![
-            ("stream-collect", 2),
-            ("stream-embed", 2),
-            ("stream-events", 2),
-            ("stream-preprocess", 2),
-            ("stream-topics", 1),
-            ("stream-topics", 2),
-            ("stream-vectorize", 2),
-        ],
-        "healing must recompute exactly the corrupted cone: {report:?}"
-    );
-    let hit = |stage: &str, k: usize| {
-        report.fold(stage, k).unwrap_or_else(|| panic!("no fold record for {stage}@{k}")).cache
-    };
-    assert_eq!(hit("stream-topics", 0), CacheStatus::Hit, "topics@0 must replay");
-    assert_eq!(hit("stream-vectorize", 1), CacheStatus::Hit, "vectorize@1 must replay");
-    assert!(
-        report.fold("stream-collect", 0).is_none(),
-        "collect@0 is outside the demanded cone and must not even be probed"
-    );
-    assert_eq!(state.content_digest(), cold_digest, "healed fold must equal cold");
+        // Extending to slice 2 demands topics@1: the damaged artifact
+        // reads as a miss, topics@1 refolds from topics@0 + vectorize@1
+        // (both replayed hits), and every stage folds slice 2. Exactly
+        // that cone — seven folds — executes.
+        let (state, report) = pipeline.run(3).expect("healing run");
+        assert_eq!(
+            report.executed_folds(),
+            vec![
+                ("stream-collect", 2),
+                ("stream-embed", 2),
+                ("stream-events", 2),
+                ("stream-preprocess", 2),
+                ("stream-topics", 1),
+                ("stream-topics", 2),
+                ("stream-vectorize", 2),
+            ],
+            "{how:?}: healing must recompute exactly the corrupted cone: {report:?}"
+        );
+        let hit = |stage: &str, k: usize| {
+            report.fold(stage, k).unwrap_or_else(|| panic!("no fold record for {stage}@{k}")).cache
+        };
+        assert_eq!(hit("stream-topics", 0), CacheStatus::Hit, "topics@0 must replay");
+        assert_eq!(hit("stream-vectorize", 1), CacheStatus::Hit, "vectorize@1 must replay");
+        assert!(
+            report.fold("stream-collect", 0).is_none(),
+            "collect@0 is outside the demanded cone and must not even be probed"
+        );
+        assert_eq!(state.content_digest(), cold_digest, "{how:?}: healed fold must equal cold");
 
-    // The refold healed the cache in place: fully warm, frame restored.
-    let (_, healed) = pipeline.run(3).expect("healed run");
-    assert_eq!(healed.executed(), 0);
-    assert_eq!(std::fs::metadata(&victim).expect("metadata").len(), full);
+        // The refold healed the cache in place: fully warm, artifact
+        // rewritten.
+        let (_, healed) = pipeline.run(3).expect("healed run");
+        assert_eq!(healed.executed(), 0, "{how:?}");
+        assert_eq!(std::fs::metadata(&victim).expect("metadata").len(), full, "{how:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn force_from_and_until_steer_the_executor() {
+fn force_recomputes_every_stage_bit_identically() {
     let _guard = LOCK.lock().unwrap();
     baseline_digest();
-
-    // `from`: everything before replays, the named stage onward
-    // recomputes even though the cache is valid.
-    let mut cfg = config();
-    cfg.cache.from = Some("trending".into());
-    let (_, report) = Pipeline::new(cfg).run_with_report().expect("from run");
-    for stage in UPSTREAM {
-        assert_eq!(status_of(&report, stage), CacheStatus::Hit);
-    }
-    for stage in ["trending", "correlation", "features"] {
-        assert_eq!(status_of(&report, stage), CacheStatus::Forced);
-    }
-
-    // `until`: later stages are skipped outright; the artifact set
-    // holds only the materialized prefix.
-    let mut cfg = config();
-    cfg.cache.until = Some("preprocess".into());
-    let (artifacts, report) = Pipeline::new(cfg).execute().expect("until run");
-    assert!(artifacts.contains("collect") && artifacts.contains("preprocess"));
-    assert!(!artifacts.contains("topics") && !artifacts.contains("features"));
-    for stage in
-        ["topics", "events", "embeddings", "trending", "correlation", "features", "patterns"]
-    {
-        assert_eq!(status_of(&report, stage), CacheStatus::Skipped);
-    }
 
     // `force`: every stage recomputes; output still bit-identical.
     let mut cfg = config();
