@@ -11,6 +11,12 @@ cd "$(dirname "$0")"
 echo "==> build (release)"
 cargo build --release --workspace
 
+echo "==> benchmark build (perfbench/ against the workspace; --locked rejects lock-file drift)"
+# perfbench/ calls pipeline APIs directly and has its own Cargo.lock;
+# a workspace change that breaks either shows up here, not only when
+# the benchmark runs.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> tests (workspace)"
 NEWSDIFF_THREADS=4 cargo test -q --workspace
 

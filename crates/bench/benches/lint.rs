@@ -1,12 +1,15 @@
 //! Benchmarks of the nd-lint analyzer over the real workspace: a cold
-//! full analysis (lex + parse + CFG + global pass for every file) and
-//! a warm incremental run (every file replayed from the fingerprint
-//! cache, only the global pass recomputed).
+//! full analysis (the one lex + parse + rules pass for every file,
+//! then the global pass) and a warm incremental run (every file
+//! replayed from the fingerprint cache, only the global pass
+//! recomputed).
 //!
-//! Generate the JSON dump for the CI table with:
+//! Generate the JSON dump for the CI table from the workspace root
+//! with (cargo runs benches from `crates/bench`, so the path must be
+//! absolute):
 //!
 //! ```text
-//! ND_BENCH_JSON=BENCH_lint.json cargo bench -p nd-bench --bench lint
+//! ND_BENCH_JSON=$PWD/BENCH_lint.json cargo bench -p nd-bench --bench lint
 //! ```
 //!
 //! Table-only entries (no `threads/<t>` names) — the number to eyeball
@@ -26,7 +29,7 @@ fn cache_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ndbench-lint-{}-{tag}.cache", std::process::id()))
 }
 
-/// Cold: no cache — every file is lexed, parsed, and flow-analyzed.
+/// Cold: no cache — every file is lexed, parsed, and analyzed.
 fn bench_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("lint_full_workspace");
     group.sample_size(10);

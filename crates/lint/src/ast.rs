@@ -1,13 +1,15 @@
 //! A lightweight recursive-descent parser over the lossless lexer.
 //!
-//! The token rules in [`crate::rules`] see one statement at a time;
-//! the flow rules in [`crate::flow`] need *structure*: which calls
-//! happen inside which loop, which guard is live on which path, which
-//! function a `let _ =` discards. This module turns the significant
-//! token stream into an item/statement/expression tree that is exact
-//! where the rules need precision (items, blocks, `if`/`match`/loop
-//! structure, `let` bindings) and deliberately flat where they do not
-//! (expression "chains" keep operands as raw token runs).
+//! Every per-file rule reads this module's output. The token rules in
+//! [`crate::rules`] read the significant tokens outside test items
+//! ([`AstFile::tests`] marks them); the flow rules in [`crate::flow`]
+//! need *structure*: which calls happen inside which loop, which guard
+//! is live on which path, which function a `let _ =` discards. This
+//! module turns the significant token stream into an
+//! item/statement/expression tree that is exact where the rules need
+//! precision (items, blocks, `if`/`match`/loop structure, `let`
+//! bindings) and deliberately flat where they do not (expression
+//! "chains" keep operands as raw token runs).
 //!
 //! Two properties the rest of the analyzer leans on:
 //!
@@ -21,7 +23,7 @@
 //!    ([`Part::Tok`]) instead of errors, the same recovery philosophy
 //!    as the lexer: rules act only on shapes they recognize.
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{lex, TokKind};
 
 /// A significant token: text, kind, and 1-based line, with whitespace
 /// and comments already filtered out.
@@ -35,28 +37,20 @@ pub struct SigTok {
     pub line: u32,
 }
 
-/// Lexes `src` and keeps only significant tokens.
-pub fn significant(src: &str) -> Vec<SigTok> {
-    lex(src)
-        .into_iter()
-        .filter(|t| {
-            !matches!(
-                t.kind,
-                TokKind::Whitespace | TokKind::LineComment | TokKind::BlockComment
-            )
-        })
-        .map(|t| SigTok { text: t.text, kind: t.kind, line: t.line })
-        .collect()
-}
-
-/// Comment tokens of `src` as `(line, text)` pairs, for suppression
-/// and SAFETY lookups.
-pub fn comments(src: &str) -> Vec<(u32, String)> {
-    lex(src)
-        .into_iter()
-        .filter(|t| matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .map(|t: Tok| (t.line, t.text))
-        .collect()
+/// Lexes `src` once and splits it into its significant tokens and its
+/// comments as `(line, text)` pairs (for `SAFETY:` and suppression
+/// lookups). Whitespace is dropped.
+pub fn tokens(src: &str) -> (Vec<SigTok>, Vec<(u32, String)>) {
+    let mut toks = Vec::new();
+    let mut comments = Vec::new();
+    for t in lex(src) {
+        match t.kind {
+            TokKind::Whitespace => {}
+            TokKind::LineComment | TokKind::BlockComment => comments.push((t.line, t.text)),
+            kind => toks.push(SigTok { text: t.text, kind, line: t.line }),
+        }
+    }
+    (toks, comments)
 }
 
 /// One parsed file: a flat list of top-level items.
@@ -64,6 +58,9 @@ pub fn comments(src: &str) -> Vec<(u32, String)> {
 pub struct AstFile {
     /// Top-level items in source order.
     pub items: Vec<Item>,
+    /// Token spans `[lo, hi)` of every test-only item, nested ones
+    /// included (attributes count as part of the item).
+    pub tests: Vec<(usize, usize)>,
 }
 
 /// Proof object for the total-coverage guarantee: how many significant
@@ -88,7 +85,8 @@ pub struct Item {
     pub hi: usize,
     /// Line of the first token.
     pub line: u32,
-    /// Annotated `#[test]` / `#[cfg(test)]` (rules skip the subtree).
+    /// Test-only: annotated `#[test]`, `#[cfg(test)]`, or
+    /// `#[cfg(all(…, test, …))]` (rules skip the subtree).
     pub is_test: bool,
 }
 
@@ -329,16 +327,17 @@ impl Chain {
 
 /// Parses a file's significant tokens into an [`AstFile`].
 pub fn parse_file(toks: &[SigTok]) -> (AstFile, Coverage) {
-    let mut p = Parser { t: toks, pos: 0, consumed: 0 };
+    let mut p = Parser { t: toks, pos: 0, consumed: 0, tests: Vec::new() };
     let items = p.parse_items(false);
     debug_assert_eq!(p.consumed, toks.len(), "parser must consume every token");
-    (AstFile { items }, Coverage { total: toks.len(), consumed: p.consumed })
+    (AstFile { items, tests: p.tests }, Coverage { total: toks.len(), consumed: p.consumed })
 }
 
 struct Parser<'a> {
     t: &'a [SigTok],
     pos: usize,
     consumed: usize,
+    tests: Vec<(usize, usize)>,
 }
 
 /// Keywords that begin an item in statement position.
@@ -528,6 +527,9 @@ impl<'a> Parser<'a> {
                 ItemKind::Other
             }
         };
+        if is_test {
+            self.tests.push((lo, self.pos));
+        }
         Item { kind, lo, hi: self.pos, line, is_test }
     }
 
@@ -544,9 +546,7 @@ impl<'a> Parser<'a> {
             self.consume_matched("[", "]");
             let body: Vec<&str> =
                 self.t[body_lo..self.pos.saturating_sub(1)].iter().map(|t| t.text.as_str()).collect();
-            if body.first() == Some(&"test") || (body.contains(&"cfg") && body.contains(&"test")) {
-                is_test = true;
-            }
+            is_test |= test_only(&body);
         }
         is_test
     }
@@ -1026,6 +1026,29 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Whether an attribute body (the tokens inside `#[…]`) limits its
+/// item to test builds: `test`, `cfg(test)`, or `cfg(all(…))` with a
+/// top-level `test`. Items under `cfg(not(test))` or
+/// `cfg(any(test, …))` also build outside tests, so rules see them.
+fn test_only(body: &[&str]) -> bool {
+    match body {
+        ["test", ..] | ["cfg", "(", "test", ")"] => true,
+        ["cfg", "(", "all", "(", args @ .., ")", ")"] => {
+            let mut depth = 0i32;
+            args.split(|&t| {
+                match t {
+                    "(" => depth += 1,
+                    ")" => depth -= 1,
+                    _ => {}
+                }
+                depth == 0 && t == ","
+            })
+            .any(|arg| arg == ["test"])
+        }
+        _ => false,
+    }
+}
+
 /// Extracts the defining name from an `impl`/`trait`/`mod` header:
 /// the last path segment after `for` when present (`impl Tr for Ty`),
 /// otherwise the first path after the generics.
@@ -1102,7 +1125,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> AstFile {
-        let sig = significant(src);
+        let (sig, _) = tokens(src);
         let (ast, cov) = parse_file(&sig);
         assert_eq!(cov.consumed, cov.total, "total coverage on:\n{src}");
         ast
@@ -1277,11 +1300,20 @@ mod tests {
 
     #[test]
     fn cfg_test_items_marked() {
+        // Only attributes that limit an item to test builds mark it:
+        // `cfg(not(test))`, `cfg(any(test, …))` and `cfg_attr(test, …)`
+        // items also build outside tests.
         let ast = parse(
-            "fn real() {}\n#[cfg(test)]\nmod tests { fn t() {} }\n#[test]\nfn t2() {}",
+            "fn real() {}\n#[cfg(test)]\nmod tests { fn t() {} }\n#[test]\nfn t2() {}\n\
+             #[cfg(all(test, feature = \"x\"))] fn c() {}\n\
+             #[cfg(not(test))] fn a() {}\n\
+             #[cfg(any(test, feature = \"x\"))] fn b() {}\n\
+             #[cfg(all(not(test), unix))] fn d() {}\n\
+             #[cfg_attr(test, allow(dead_code))] fn e() {}",
         );
         let flags: Vec<bool> = ast.items.iter().map(|i| i.is_test).collect();
-        assert_eq!(flags, [false, true, true]);
+        assert_eq!(flags, [false, true, true, true, false, false, false, false]);
+        assert_eq!(ast.tests.len(), 3);
     }
 
     #[test]
@@ -1319,7 +1351,7 @@ mod tests {
             "fn f() { x.do(|| { loop { if } }) }",
             "#![allow(dead_code)] fn f() {}",
         ] {
-            let sig = significant(src);
+            let (sig, _) = tokens(src);
             let (_, cov) = parse_file(&sig);
             assert_eq!(cov.consumed, cov.total, "coverage on torture input {src:?}");
         }

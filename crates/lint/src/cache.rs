@@ -4,12 +4,12 @@
 //! (nd-store `NDART01`): each workspace file's analysis record is
 //! keyed by the FNV-1a hash of its contents, so a warm run re-parses
 //! only changed files and replays everything else from the cache. The
-//! cached record is the *complete* per-file product — token-rule
-//! findings, flow findings, function summaries, drop candidates,
-//! suppression comments, parser coverage — which is exactly the input
-//! the workspace-global pass needs; the global pass itself is cheap
-//! and recomputed every run, so warm and cold runs emit byte-identical
-//! reports.
+//! cached record is the *complete* product of the one per-file pass
+//! ([`crate::flow::file_flow`]) — local findings, function summaries,
+//! drop candidates, inline suppressions, parser coverage — which is
+//! exactly the input the workspace-global pass needs; the global pass
+//! itself is cheap and recomputed every run, so warm and cold runs emit
+//! byte-identical reports.
 //!
 //! The on-disk format is a versioned line-oriented text file written
 //! atomically (tmp + rename). The header embeds the rule list: adding
@@ -17,14 +17,14 @@
 //! parse problem discards the whole cache — it is a pure accelerator,
 //! never a source of truth.
 
-use crate::flow::{DropCandidate, FileFlow, FnSummary};
-use crate::rules::{Finding, RULE_NAMES};
+use crate::flow::{Allow, DropCandidate, FileFlow, FnSummary};
+use crate::rules::{rule_name, Finding, RULE_NAMES};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
 
 /// Format version; bump when record semantics change.
-const FORMAT: &str = "ndlint-cache 1";
+const FORMAT: &str = "ndlint-cache 2";
 
 /// FNV-1a 64-bit (same parameters as nd-store's artifact checksums).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -41,10 +41,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct FileRecord {
     /// FNV-1a of the file contents the record was computed from.
     pub hash: u64,
-    /// Token-tier findings (suppressions already applied).
-    pub token_findings: Vec<Finding>,
-    /// Flow-tier product (local findings, summaries, candidates,
-    /// allow comments, coverage).
+    /// The per-file pass's product (local findings, summaries,
+    /// candidates, inline suppressions, coverage).
     pub flow: FileFlow,
 }
 
@@ -79,8 +77,8 @@ impl Cache {
 
 // ---- escaping ----------------------------------------------------------
 // Field separator is TAB, entry separator is `;`, subfield is `,`.
-// Only free-text fields (messages, comments, pattern-ish names) are
-// escaped; lock ids and fn names are identifier paths by construction.
+// Only free-text fields (finding messages) are escaped; lock ids, fn
+// names and rule names are identifier paths by construction.
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -122,11 +120,6 @@ fn unesc(s: &str) -> String {
     out
 }
 
-/// Rule names are interned: findings hold `&'static str`.
-fn intern_rule(name: &str) -> Option<&'static str> {
-    RULE_NAMES.iter().find(|&&r| r == name).copied()
-}
-
 // ---- render ------------------------------------------------------------
 
 fn render(cache: &Cache) -> String {
@@ -136,11 +129,8 @@ fn render(cache: &Cache) -> String {
     out.push_str(&format!("rules {}\n", RULE_NAMES.join(",")));
     for (path, rec) in &cache.entries {
         out.push_str(&format!("F {:016x} {path}\n", rec.hash));
-        for f in &rec.token_findings {
-            render_finding(&mut out, 'f', f);
-        }
         for f in &rec.flow.findings {
-            render_finding(&mut out, 'g', f);
+            out.push_str(&format!("f {}\t{}\t{}\n", f.rule, f.line, esc(&f.message)));
         }
         for s in &rec.flow.summaries {
             out.push_str(&format!(
@@ -165,8 +155,8 @@ fn render(cache: &Cache) -> String {
                 join(&c.calls, |(name, m)| format!("{name},{}", u8::from(*m)))
             ));
         }
-        for (line, text) in &rec.flow.allow_comments {
-            out.push_str(&format!("a {line}\t{}\n", esc(text)));
+        for a in &rec.flow.allows {
+            out.push_str(&format!("a {}\t{}\t{}\n", a.line, a.rule, u8::from(a.used)));
         }
         out.push_str(&format!(
             "v {} {}\n",
@@ -174,10 +164,6 @@ fn render(cache: &Cache) -> String {
         ));
     }
     out
-}
-
-fn render_finding(out: &mut String, tag: char, f: &Finding) {
-    out.push_str(&format!("{tag} {}\t{}\t{}\n", f.rule, f.line, esc(&f.message)));
 }
 
 fn join<T>(items: &[T], f: impl Fn(&T) -> String) -> String {
@@ -205,28 +191,16 @@ fn parse(text: &str) -> Option<Cache> {
                 }
                 let (hash_hex, path) = rest.split_once(' ')?;
                 let hash = u64::from_str_radix(hash_hex, 16).ok()?;
-                cur = Some((
-                    path.to_string(),
-                    FileRecord {
-                        hash,
-                        token_findings: Vec::new(),
-                        flow: FileFlow::default(),
-                    },
-                ));
+                cur = Some((path.to_string(), FileRecord { hash, flow: FileFlow::default() }));
             }
-            "f" | "g" => {
+            "f" => {
                 let file = cur.as_ref()?.0.clone();
                 let rec = &mut cur.as_mut()?.1;
                 let mut it = rest.split('\t');
-                let rule = intern_rule(it.next()?)?;
+                let rule = rule_name(it.next()?)?;
                 let line_no: u32 = it.next()?.parse().ok()?;
                 let message = unesc(it.next()?);
-                let finding = Finding { rule, file, line: line_no, message };
-                if tag == "f" {
-                    rec.token_findings.push(finding);
-                } else {
-                    rec.flow.findings.push(finding);
-                }
+                rec.flow.findings.push(Finding { rule, file, line: line_no, message });
             }
             "s" => {
                 let file = cur.as_ref()?.0.clone();
@@ -309,10 +283,10 @@ fn parse(text: &str) -> Option<Cache> {
             }
             "a" => {
                 let rec = &mut cur.as_mut()?.1;
-                let (line_no, text) = rest.split_once('\t')?;
-                rec.flow
-                    .allow_comments
-                    .push((line_no.parse().ok()?, unesc(text)));
+                let mut it = rest.split('\t');
+                let line = it.next()?.parse().ok()?;
+                let rule = rule_name(it.next()?)?;
+                rec.flow.allows.push(Allow { line, rule, used: it.next()? == "1" });
             }
             "v" => {
                 let rec = &mut cur.as_mut()?.1;
@@ -336,7 +310,6 @@ fn split<T>(s: &str, f: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
 mod tests {
     use super::*;
     use crate::flow::file_flow;
-    use crate::rules::analyze;
 
     #[test]
     fn fnv_matches_store_vectors() {
@@ -362,11 +335,7 @@ mod tests {
         let mut cache = Cache::default();
         cache.entries.insert(
             rel.to_string(),
-            FileRecord {
-                hash: fnv1a64(src.as_bytes()),
-                token_findings: analyze(rel, src),
-                flow: file_flow(rel, src),
-            },
+            FileRecord { hash: fnv1a64(src.as_bytes()), flow: file_flow(rel, src) },
         );
         let dir = std::env::temp_dir().join("nd-lint-cache-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -376,7 +345,6 @@ mod tests {
         assert_eq!(loaded.entries.len(), 1);
         let (orig, got) = (&cache.entries[rel], &loaded.entries[rel]);
         assert_eq!(orig.hash, got.hash);
-        assert_eq!(orig.token_findings, got.token_findings);
         assert_eq!(orig.flow, got.flow);
         std::fs::remove_file(&path).ok();
     }

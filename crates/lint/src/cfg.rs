@@ -670,10 +670,10 @@ fn run_liveness(flow: &mut FnFlow) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{parse_file, significant, ItemKind};
+    use crate::ast::{parse_file, tokens, ItemKind};
 
     fn flow_of(src: &str) -> FnFlow {
-        let sig = significant(src);
+        let (sig, _) = tokens(src);
         let (ast, cov) = parse_file(&sig);
         assert_eq!(cov.consumed, cov.total);
         for item in &ast.items {
@@ -686,7 +686,7 @@ mod tests {
 
     /// Held-locks at the unit whose tokens contain `marker`.
     fn held_at(src: &str, marker: &str) -> Vec<String> {
-        let sig = significant(src);
+        let (sig, _) = tokens(src);
         let (ast, _) = parse_file(&sig);
         for item in &ast.items {
             if let ItemKind::Fn(f) = &item.kind {
@@ -802,7 +802,7 @@ mod tests {
                 }
             }
         "#;
-        let sig = significant(src);
+        let (sig, _) = tokens(src);
         let (ast, _) = parse_file(&sig);
         let ItemKind::Fn(f) = &ast.items[0].kind else { panic!() };
         let flow = build_flow(f, &sig, None).unwrap();
@@ -862,7 +862,7 @@ mod tests {
 
     #[test]
     fn calls_found_methods_and_free() {
-        let sig = significant("fn f() { foo::bar(1); x.method(2); mac!(3); if cond(x) {} }");
+        let (sig, _) = tokens("fn f() { foo::bar(1); x.method(2); mac!(3); if cond(x) {} }");
         let (ast, _) = parse_file(&sig);
         let ItemKind::Fn(f) = &ast.items[0].kind else { panic!() };
         let flow = build_flow(f, &sig, None).unwrap();

@@ -1,19 +1,26 @@
-//! Flow-sensitive rules over the AST/CFG tier.
+//! The one per-file pass and the workspace-global pass.
 //!
-//! [`file_flow`] runs per file: it parses ([`crate::ast`]), builds
-//! per-function CFGs with guard liveness ([`crate::cfg`]), extracts a
-//! [`FnSummary`] per function (locks acquired, acquisition order,
-//! calls made while holding, blocking I/O), and evaluates the local
-//! parts of the four flow rules:
+//! [`file_flow`] runs every per-file rule on one file. It lexes the
+//! file once, parses it once ([`crate::ast`]), and then:
 //!
-//! - `result-dropped` (serve + store): `let _ =` a fallible call,
-//!   empty `Err(_) => {}` arms, and dead `.ok();` statements.
-//! - `fp-reduction-order` (kernel crates): float `.sum()`/`.product()`
-//!   and mutable float accumulators over chunked iteration — both
-//!   bypass nd-par's fixed reduction order and break bit-identity.
-//! - `unbounded-growth` (serve): collections growing inside
-//!   `while`/`loop` (iteration count not tied to a finite input) with
-//!   no observable bound in the function.
+//! - runs the seven token rules of [`crate::rules`] over the parser's
+//!   non-test token view, with the `impl …Scratch` bodies and `for`
+//!   iterables the parse found;
+//! - builds per-function CFGs with guard liveness ([`crate::cfg`]) and
+//!   extracts a [`FnSummary`] per function (locks acquired,
+//!   acquisition order, calls made while holding, blocking I/O);
+//! - evaluates the local parts of the four flow rules:
+//!   - `result-dropped` (serve + store): `let _ =` a fallible call,
+//!     empty `Err(_) => {}` arms, and dead `.ok();` statements.
+//!   - `fp-reduction-order` (kernel crates): float `.sum()`/`.product()`
+//!     and mutable float accumulators over chunked iteration — both
+//!     bypass nd-par's fixed reduction order and break bit-identity.
+//!   - `unbounded-growth` (serve): collections growing inside
+//!     `while`/`loop` (iteration count not tied to a finite input)
+//!     with no observable bound in the function.
+//!
+//! One suppression filter and one sort then produce the file's
+//! findings.
 //!
 //! [`global_pass`] then joins every file's summaries into the
 //! workspace lock-acquisition graph: acquired-lock closures propagate
@@ -21,7 +28,8 @@
 //! become `lock-order` findings, blocking I/O under a live guard —
 //! direct or through a callee — is flagged in the serve path, and
 //! `let _ =` candidates resolve against workspace functions that
-//! return `Result`.
+//! return `Result`. The caller suppresses those findings with the
+//! [`Allow`]s of the file they land in ([`suppress`]).
 
 use crate::ast::{
     self, Arm, Block, Chain, FnItem, Item, ItemKind, SigTok, StmtKind, StructExpr,
@@ -29,8 +37,34 @@ use crate::ast::{
 };
 use crate::cfg::{build_flow, find_calls, Unit, GUARD_METHODS};
 use crate::lexer::TokKind;
-use crate::rules::{comment_allows, scope_for, Finding, IO_CALLS};
+use crate::rules::{self, scope_for, FileScope, Finding, TokenView};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Blocking calls a lock guard must not be held across (`lock-order`).
+/// All but [`TRANSITIVE_EXCEPT`] also propagate through the call graph.
+const IO_CALLS: &[&str] = &[
+    "write_response",
+    "write_all",
+    "write_fmt",
+    "flush",
+    "read_to_end",
+    "read_exact",
+    "read_line",
+    "read_until",
+    "persist",
+    "join",
+    "recv",
+    "recv_timeout",
+    "accept",
+    "connect",
+    "sleep",
+    "send_to",
+    "sync_all",
+];
+
+/// The one [`IO_CALLS`] entry that stays direct-only: `Path::join`
+/// would otherwise make half the workspace look blocking.
+const TRANSITIVE_EXCEPT: &str = "join";
 
 /// Callee names whose dropped return value is a dropped `Result`
 /// regardless of workspace summaries (std / known-fallible surface).
@@ -139,60 +173,94 @@ pub struct DropCandidate {
     pub calls: Vec<(String, bool)>,
 }
 
+/// One rule named by an `// nd-lint: allow(…)` comment outside test
+/// items. It silences that rule's findings on the comment's line and
+/// the next.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Allow {
+    /// Line of the comment.
+    pub line: u32,
+    /// The rule it names.
+    pub rule: &'static str,
+    /// It silenced a finding. [`file_flow`] marks the ones local
+    /// findings use; [`suppress`] marks the rest as global findings use
+    /// them.
+    pub used: bool,
+}
+
+/// Whether some allow silences `f`; marks every one that does as used.
+pub fn suppress(allows: &mut [Allow], f: &Finding) -> bool {
+    let mut hit = false;
+    for a in allows.iter_mut() {
+        if a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line) {
+            a.used = true;
+            hit = true;
+        }
+    }
+    hit
+}
+
 /// Everything the per-file pass produces. Cacheable: a file's record
 /// depends only on its own contents.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileFlow {
-    /// Local findings (suppression comments already honored).
+    /// Local findings of all eleven rules' per-file parts, suppressions
+    /// already applied, sorted by line, rule and message.
     pub findings: Vec<Finding>,
     /// Per-function summaries for the global pass.
     pub summaries: Vec<FnSummary>,
     /// Unresolved `let _ =` sites.
     pub candidates: Vec<DropCandidate>,
-    /// `nd-lint:` comments, for suppressing global findings that land
-    /// in this file: `(line, text)`.
-    pub allow_comments: Vec<(u32, String)>,
+    /// Inline suppressions, for the global findings that land in this
+    /// file and for the unused-suppression report.
+    pub allows: Vec<Allow>,
     /// Parser coverage: `(consumed, total)` significant tokens.
     pub coverage: (usize, usize),
 }
 
-/// Runs the flow tier on one file.
+/// The one per-file pass: lexes and parses `src` once, runs every
+/// per-file rule that the scope of `rel` enables, then applies the
+/// file's inline suppressions.
 pub fn file_flow(rel: &str, src: &str) -> FileFlow {
     let scope = scope_for(rel);
-    let toks = ast::significant(src);
+    let (toks, comments) = ast::tokens(src);
     let (parsed, cov) = ast::parse_file(&toks);
-    let comments = ast::comments(src);
-    let allow_comments: Vec<(u32, String)> = comments
-        .iter()
-        .filter(|(_, t)| t.contains("nd-lint:"))
-        .map(|(l, t)| (*l, t.clone()))
-        .collect();
 
     let mut fx = FileCx {
         rel,
         toks: &toks,
+        scope,
         findings: Vec::new(),
         summaries: Vec::new(),
         candidates: Vec::new(),
-        error_flow: scope.error_flow,
-        fp_order: scope.fp_order,
-        growth: scope.growth,
+        scratch: Vec::new(),
+        for_iters: Vec::new(),
     };
     fx.walk_items(&parsed.items, None);
+    let view = TokenView::new(&toks, &parsed.tests, &fx.scratch, &fx.for_iters);
+    rules::token_rules(rel, scope, &view, &comments, &mut fx.findings);
 
+    let in_test = |line: u32| {
+        parsed.tests.iter().any(|&(lo, hi)| toks[lo].line <= line && line <= toks[hi - 1].line)
+    };
+    let mut allows: Vec<Allow> = Vec::new();
+    for (line, text) in &comments {
+        for rule in rules::allowed_rules(text) {
+            let allow = Allow { line: *line, rule, used: false };
+            if !in_test(*line) && !allows.contains(&allow) {
+                allows.push(allow);
+            }
+        }
+    }
     let mut findings = fx.findings;
-    findings.retain(|f| {
-        !allow_comments
-            .iter()
-            .any(|(l, t)| (*l == f.line || *l + 1 == f.line) && comment_allows(t, f.rule))
-    });
-    findings.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
+    findings.retain(|f| !suppress(&mut allows, f));
+    findings.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
 
     FileFlow {
         findings,
         summaries: fx.summaries,
         candidates: fx.candidates,
-        allow_comments,
+        allows,
         coverage: (cov.consumed, cov.total),
     }
 }
@@ -200,12 +268,16 @@ pub fn file_flow(rel: &str, src: &str) -> FileFlow {
 struct FileCx<'a> {
     rel: &'a str,
     toks: &'a [SigTok],
+    scope: FileScope,
     findings: Vec<Finding>,
     summaries: Vec<FnSummary>,
     candidates: Vec<DropCandidate>,
-    error_flow: bool,
-    fp_order: bool,
-    growth: bool,
+    /// Token spans of `impl` blocks for `*Scratch` types
+    /// (`hot-loop-alloc` exempts them).
+    scratch: Vec<(usize, usize)>,
+    /// The last token of each `for` loop's iterable
+    /// (`nondet-hash-iter` checks it).
+    for_iters: Vec<usize>,
 }
 
 impl<'a> FileCx<'a> {
@@ -219,6 +291,9 @@ impl<'a> FileCx<'a> {
                 ItemKind::Container { keyword, name, items } => {
                     let inner_ty =
                         if *keyword == "impl" { name.as_deref() } else { None };
+                    if self.scope.hot_loop && inner_ty.is_some_and(|n| n.contains("Scratch")) {
+                        self.scratch.push((item.lo, item.hi));
+                    }
                     self.walk_items(items, inner_ty);
                 }
                 ItemKind::Other => {}
@@ -229,13 +304,25 @@ impl<'a> FileCx<'a> {
     fn visit_fn(&mut self, f: &FnItem, self_ty: Option<&str>, line: u32) {
         let Some(body) = &f.body else { return };
         self.summarize(f, self_ty, line);
-        if self.error_flow {
-            self.rule_result_dropped(body);
+        if self.scope.determinism {
+            let iters = &mut self.for_iters;
+            walk_chains(body, &mut |chain| {
+                chain.nested(&mut |s| {
+                    if let StructKind::For { iter, .. } = &s.kind {
+                        if iter.hi > iter.lo {
+                            iters.push(iter.hi - 1);
+                        }
+                    }
+                })
+            });
         }
-        if self.fp_order {
+        if self.scope.error_flow {
+            self.result_block(body);
+        }
+        if self.scope.fp_order {
             self.rule_fp_reduction(body);
         }
-        if self.growth {
+        if self.scope.growth {
             let mut scopes: Vec<GrowScope> = vec![GrowScope::default()];
             let evidence = self.bound_evidence(body);
             self.rule_growth_block(body, &mut scopes, &evidence);
@@ -339,10 +426,6 @@ impl<'a> FileCx<'a> {
 
     // ---- result-dropped ------------------------------------------------
 
-    fn rule_result_dropped(&mut self, body: &Block) {
-        self.result_block(body);
-    }
-
     fn result_block(&mut self, b: &Block) {
         let n = b.stmts.len();
         for (i, stmt) in b.stmts.iter().enumerate() {
@@ -381,37 +464,10 @@ impl<'a> FileCx<'a> {
     }
 
     fn result_nested(&mut self, chain: &Chain) {
-        chain.nested(&mut |s| match &s.kind {
-            StructKind::If { cond, then, els } => {
-                self.result_nested(cond);
-                self.result_block(then);
-                if let Some(e) = els {
-                    self.result_struct(e);
-                }
-            }
-            StructKind::While { cond, body } => {
-                self.result_nested(cond);
-                self.result_block(body);
-            }
-            StructKind::For { iter, body, .. } => {
-                self.result_nested(iter);
-                self.result_block(body);
-            }
-            StructKind::Loop { body } => self.result_block(body),
-            StructKind::Match { scrutinee, arms } => {
-                self.result_nested(scrutinee);
-                for arm in arms {
-                    self.check_err_arm(arm);
-                    self.result_nested(&arm.body);
-                    arm.body.nested(&mut |inner| self.result_struct(inner));
-                }
-            }
-            StructKind::Block { block, .. } => self.result_block(block),
-        });
+        chain.nested(&mut |s| self.result_struct(s));
     }
 
     fn result_struct(&mut self, s: &StructExpr) {
-        // Wrap a single struct expr as a chain-free visit.
         match &s.kind {
             StructKind::If { cond, then, els } => {
                 self.result_nested(cond);
@@ -574,32 +630,7 @@ impl<'a> FileCx<'a> {
         let_ty: Option<&str>,
     ) {
         self.check_float_sum(chain, let_ty);
-        chain.nested(&mut |s| match &s.kind {
-            StructKind::If { cond, then, els } => {
-                self.fp_chain(cond, accs, in_chunk_loop, None);
-                self.fp_block(then, accs, in_chunk_loop);
-                if let Some(e) = els {
-                    self.fp_struct(e, accs, in_chunk_loop);
-                }
-            }
-            StructKind::While { cond, body } => {
-                self.fp_chain(cond, accs, in_chunk_loop, None);
-                self.fp_block(body, accs, in_chunk_loop);
-            }
-            StructKind::For { iter, body, .. } => {
-                self.fp_chain(iter, accs, in_chunk_loop, None);
-                let chunky = self.mentions_chunk_source(iter);
-                self.fp_block(body, accs, in_chunk_loop || chunky);
-            }
-            StructKind::Loop { body } => self.fp_block(body, accs, in_chunk_loop),
-            StructKind::Match { scrutinee, arms } => {
-                self.fp_chain(scrutinee, accs, in_chunk_loop, None);
-                for arm in arms {
-                    self.fp_chain(&arm.body, accs, in_chunk_loop, None);
-                }
-            }
-            StructKind::Block { block, .. } => self.fp_block(block, accs, in_chunk_loop),
-        });
+        chain.nested(&mut |s| self.fp_struct(s, accs, in_chunk_loop));
     }
 
     fn fp_struct(&mut self, s: &StructExpr, accs: &BTreeSet<String>, in_chunk: bool) {
@@ -611,8 +642,23 @@ impl<'a> FileCx<'a> {
                     self.fp_struct(e, accs, in_chunk);
                 }
             }
+            StructKind::While { cond, body } => {
+                self.fp_chain(cond, accs, in_chunk, None);
+                self.fp_block(body, accs, in_chunk);
+            }
+            StructKind::For { iter, body, .. } => {
+                self.fp_chain(iter, accs, in_chunk, None);
+                let chunky = self.mentions_chunk_source(iter);
+                self.fp_block(body, accs, in_chunk || chunky);
+            }
+            StructKind::Loop { body } => self.fp_block(body, accs, in_chunk),
+            StructKind::Match { scrutinee, arms } => {
+                self.fp_chain(scrutinee, accs, in_chunk, None);
+                for arm in arms {
+                    self.fp_chain(&arm.body, accs, in_chunk, None);
+                }
+            }
             StructKind::Block { block, .. } => self.fp_block(block, accs, in_chunk),
-            _ => {}
         }
     }
 
@@ -743,7 +789,16 @@ impl<'a> FileCx<'a> {
         scopes: &mut Vec<GrowScope>,
         evidence: &BTreeSet<String>,
     ) {
-        chain.nested(&mut |s| match &s.kind {
+        chain.nested(&mut |s| self.growth_struct(s, scopes, evidence));
+    }
+
+    fn growth_struct(
+        &mut self,
+        s: &StructExpr,
+        scopes: &mut Vec<GrowScope>,
+        evidence: &BTreeSet<String>,
+    ) {
+        match &s.kind {
             StructKind::If { cond, then, els } => {
                 self.growth_nested(cond, scopes, evidence);
                 self.rule_growth_block(then, scopes, evidence);
@@ -791,27 +846,6 @@ impl<'a> FileCx<'a> {
             StructKind::Block { block, .. } => {
                 self.rule_growth_block(block, scopes, evidence)
             }
-        });
-    }
-
-    fn growth_struct(
-        &mut self,
-        s: &StructExpr,
-        scopes: &mut Vec<GrowScope>,
-        evidence: &BTreeSet<String>,
-    ) {
-        match &s.kind {
-            StructKind::If { cond, then, els } => {
-                self.growth_nested(cond, scopes, evidence);
-                self.rule_growth_block(then, scopes, evidence);
-                if let Some(e) = els {
-                    self.growth_struct(e, scopes, evidence);
-                }
-            }
-            StructKind::Block { block, .. } => {
-                self.rule_growth_block(block, scopes, evidence)
-            }
-            _ => {}
         }
     }
 
@@ -919,7 +953,8 @@ fn collect_float_lets(cx: &FileCx<'_>, b: &Block, out: &mut BTreeSet<String>) {
     }
 }
 
-/// Invokes `f` on every block nested anywhere under `chain`.
+/// Invokes `f` on the outermost blocks of the structured expressions
+/// nested in `chain`; `f` recurses for the blocks inside those.
 fn each_nested_block(chain: &Chain, f: &mut impl FnMut(&Block)) {
     chain.nested(&mut |s| each_struct_block(s, f));
 }
@@ -929,7 +964,6 @@ fn each_struct_block(s: &StructExpr, f: &mut impl FnMut(&Block)) {
         StructKind::If { cond, then, els } => {
             each_nested_block(cond, f);
             f(then);
-            walk_block_chains_nested(then, f);
             if let Some(e) = els {
                 each_struct_block(e, f);
             }
@@ -937,45 +971,19 @@ fn each_struct_block(s: &StructExpr, f: &mut impl FnMut(&Block)) {
         StructKind::While { cond, body } => {
             each_nested_block(cond, f);
             f(body);
-            walk_block_chains_nested(body, f);
         }
         StructKind::For { iter, body, .. } => {
             each_nested_block(iter, f);
             f(body);
-            walk_block_chains_nested(body, f);
         }
-        StructKind::Loop { body } => {
-            f(body);
-            walk_block_chains_nested(body, f);
-        }
+        StructKind::Loop { body } => f(body),
         StructKind::Match { scrutinee, arms } => {
             each_nested_block(scrutinee, f);
             for arm in arms {
                 each_nested_block(&arm.body, f);
             }
         }
-        StructKind::Block { block, .. } => {
-            f(block);
-            walk_block_chains_nested(block, f);
-        }
-    }
-}
-
-fn walk_block_chains_nested(b: &Block, f: &mut impl FnMut(&Block)) {
-    for stmt in &b.stmts {
-        match &stmt.kind {
-            StmtKind::Let(l) => {
-                if let Some(init) = &l.init {
-                    each_nested_block(init, f);
-                }
-                if let Some(els) = &l.else_block {
-                    f(els);
-                    walk_block_chains_nested(els, f);
-                }
-            }
-            StmtKind::Expr(chain) => each_nested_block(chain, f),
-            StmtKind::Item(_) | StmtKind::Empty => {}
-        }
+        StructKind::Block { block, .. } => f(block),
     }
 }
 
@@ -1040,37 +1048,12 @@ fn walk_struct_chains(s: &StructExpr, visit: &mut impl FnMut(&Chain)) {
 
 // ---- global pass -------------------------------------------------------
 
-/// I/O calls that propagate through the call graph. `join` stays
-/// direct-only: `Path::join` would otherwise make half the workspace
-/// look blocking.
-const TRANSITIVE_IO: &[&str] = &[
-    "write_response",
-    "write_all",
-    "write_fmt",
-    "flush",
-    "read_to_end",
-    "read_exact",
-    "read_line",
-    "read_until",
-    "persist",
-    "recv",
-    "recv_timeout",
-    "accept",
-    "connect",
-    "sleep",
-    "send_to",
-    "sync_all",
-];
-
 /// Joins per-file summaries into workspace-global findings:
 /// lock-order cycles, I/O (direct or transitive) under a live guard in
 /// the serve path, and `let _ =` drops of workspace `Result` fns.
-/// Suppression comments at the finding site are honored via
-/// `allow_comments` (file → `(line, text)` pairs).
-pub fn global_pass(
-    files: &[&FileFlow],
-    allow_comments: &BTreeMap<String, Vec<(u32, String)>>,
-) -> Vec<Finding> {
+/// Sorted and deduplicated, not yet suppressed: the caller applies the
+/// [`Allow`]s of each finding's file with [`suppress`].
+pub fn global_pass(files: &[&FileFlow]) -> Vec<Finding> {
     let summaries: Vec<&FnSummary> =
         files.iter().flat_map(|f| f.summaries.iter()).collect();
     let mut findings = Vec::new();
@@ -1123,7 +1106,7 @@ pub fn global_pass(
         .map(|s| {
             s.io_calls
                 .iter()
-                .filter(|c| TRANSITIVE_IO.contains(&c.as_str()))
+                .filter(|c| c.as_str() != TRANSITIVE_EXCEPT)
                 .cloned()
                 .collect()
         })
@@ -1219,14 +1202,7 @@ pub fn global_pass(
         }
     }
 
-    // Suppressions + dedup + deterministic order.
-    findings.retain(|f| {
-        allow_comments.get(&f.file).is_none_or(|cs| {
-            !cs.iter().any(|(l, t)| {
-                (*l == f.line || *l + 1 == f.line) && comment_allows(t, f.rule)
-            })
-        })
-    });
+    // Dedup + deterministic order.
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
@@ -1374,32 +1350,6 @@ mod tests {
         file_flow(rel, src)
     }
 
-    fn global(files: &[&FileFlow]) -> Vec<Finding> {
-        let mut allows = BTreeMap::new();
-        for f in files {
-            for (file, cs) in group_allows(f) {
-                allows
-                    .entry(file)
-                    .or_insert_with(Vec::new)
-                    .extend(cs);
-            }
-        }
-        global_pass(files, &allows)
-    }
-
-    fn group_allows(f: &FileFlow) -> BTreeMap<String, Vec<(u32, String)>> {
-        let mut m: BTreeMap<String, Vec<(u32, String)>> = BTreeMap::new();
-        let file = f
-            .summaries
-            .first()
-            .map(|s| s.file.clone())
-            .or_else(|| f.candidates.first().map(|c| c.file.clone()));
-        if let Some(file) = file {
-            m.insert(file, f.allow_comments.clone());
-        }
-        m
-    }
-
     const SERVE: &str = "crates/serve/src/fixture.rs";
     const STORE: &str = "crates/store/src/fixture.rs";
     const KERNEL: &str = "crates/neural/src/fixture.rs";
@@ -1469,7 +1419,7 @@ mod tests {
     fn result_dropped_workspace_fn_resolves_globally() {
         let lib = flow_under(STORE, "pub fn persist_thing() -> Result<(), E> { Ok(()) }");
         let user = flow_under(SERVE, "fn f() { let _ = persist_thing(); }");
-        let findings = global(&[&lib, &user]);
+        let findings = global_pass(&[&lib, &user]);
         assert!(
             findings.iter().any(|f| f.rule == "result-dropped"
                 && f.message.contains("persist_thing")),
@@ -1553,7 +1503,7 @@ mod tests {
             fn f(rx: &Receiver<u32>) {
                 let mut backlog = Vec::new();
                 loop {
-                    let item = rx.recv().unwrap();
+                    let Ok(item) = rx.recv() else { return };
                     backlog.push(item);
                 }
             }
@@ -1571,7 +1521,7 @@ mod tests {
             fn f(rx: &Receiver<u32>) {
                 let mut backlog = Vec::new();
                 loop {
-                    let item = rx.recv().unwrap();
+                    let Ok(item) = rx.recv() else { return };
                     if backlog.len() < MAX {
                         backlog.push(item);
                     }
@@ -1618,7 +1568,7 @@ mod tests {
             }
             "#,
         );
-        let findings = global(&[&a]);
+        let findings = global_pass(&[&a]);
         assert!(
             findings.iter().any(|f| f.rule == "lock-order"
                 && f.message.contains("acquisition cycle")),
@@ -1645,7 +1595,7 @@ mod tests {
             }
             "#,
         );
-        let findings = global(&[&a]);
+        let findings = global_pass(&[&a]);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -1672,7 +1622,7 @@ mod tests {
             }
             "#,
         );
-        let findings = global(&[&a]);
+        let findings = global_pass(&[&a]);
         assert!(
             findings.iter().any(|f| f.message.contains("acquisition cycle")),
             "{findings:?}"
@@ -1693,7 +1643,7 @@ mod tests {
             }
             "#,
         );
-        let findings = global(&[&a]);
+        let findings = global_pass(&[&a]);
         assert!(
             findings.iter().any(|f| f.message.contains("self-deadlock")),
             "{findings:?}"
@@ -1721,7 +1671,7 @@ mod tests {
             }
             "#,
         );
-        let findings = global(&[&a]);
+        let findings = global_pass(&[&a]);
         let direct = findings
             .iter()
             .any(|f| f.message.contains("blocking call `write_all`"));
@@ -1744,7 +1694,7 @@ mod tests {
             }
             "#,
         );
-        let findings = global(&[&a]);
+        let findings = global_pass(&[&a]);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -1769,7 +1719,7 @@ mod tests {
             }
             "#,
         );
-        let findings = global(&[&a]);
+        let findings = global_pass(&[&a]);
         assert!(
             findings.iter().any(|f| f.message.contains("acquisition cycle")),
             "{findings:?}"
@@ -1790,6 +1740,63 @@ mod tests {
         );
         assert!(f.findings.is_empty(), "{:?}", f.findings);
         assert!(f.summaries.is_empty());
+    }
+
+    #[test]
+    fn items_built_outside_tests_are_linted() {
+        let time = "fn f() { let t = Instant::now(); }";
+        let sum = "fn f(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }";
+        for (src, rule) in [(time, "nondet-time"), (sum, "fp-reduction-order")] {
+            for attr in ["#[cfg(not(test))]", "#[cfg(any(test, feature = \"x\"))]"] {
+                let f = flow_under(KERNEL, &format!("{attr} {src}"));
+                let rules: Vec<&str> = f.findings.iter().map(|x| x.rule).collect();
+                assert_eq!(rules, [rule], "{attr} {src}");
+            }
+            let f = flow_under(KERNEL, &format!("#[cfg(all(test, unix))] {src}"));
+            assert!(f.findings.is_empty(), "{:?}", f.findings);
+        }
+    }
+
+    #[test]
+    fn allows_record_whether_they_silenced_a_local_finding() {
+        let f = flow_under(
+            KERNEL,
+            r#"
+            fn f(xs: &[f64]) -> f64 {
+                // nd-lint: allow(fp-reduction-order, panic-path, no-such-rule)
+                xs.iter().sum::<f64>()
+            }
+            #[cfg(test)]
+            mod tests {
+                // nd-lint: allow(fp-reduction-order)
+                fn t() {}
+            }
+            "#,
+        );
+        assert!(f.findings.is_empty(), "{:?}", f.findings);
+        let allows: Vec<(u32, &str, bool)> =
+            f.allows.iter().map(|a| (a.line, a.rule, a.used)).collect();
+        assert_eq!(allows, [(3, "fp-reduction-order", true), (3, "panic-path", false)]);
+    }
+
+    #[test]
+    fn suppress_marks_every_allow_covering_the_finding() {
+        let mut allows = vec![
+            Allow { line: 4, rule: "lock-order", used: false },
+            Allow { line: 5, rule: "lock-order", used: false },
+            Allow { line: 5, rule: "result-dropped", used: false },
+        ];
+        let f = Finding {
+            rule: "lock-order",
+            file: SERVE.to_string(),
+            line: 5,
+            message: String::new(),
+        };
+        assert!(suppress(&mut allows, &f));
+        let used: Vec<bool> = allows.iter().map(|a| a.used).collect();
+        assert_eq!(used, [true, true, false]);
+        let other = Finding { line: 7, ..f };
+        assert!(!suppress(&mut allows, &other));
     }
 
     #[test]

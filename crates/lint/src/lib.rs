@@ -9,16 +9,15 @@
 //! drift — but for rules clippy cannot express because they are
 //! *project policy*, not Rust misuse.
 //!
-//! Two analysis tiers share a from-scratch lossless lexer ([`lexer`]):
-//!
-//! - **Token tier** ([`rules`]): syntactic pattern rules
-//!   (`nondet-time`, `panic-path`, `hot-loop-alloc`, …).
-//! - **Flow tier** ([`ast`] → [`cfg`] → [`flow`]): a recursive-descent
-//!   parser with a total-coverage guarantee, per-function CFGs with
-//!   lock-guard liveness, and a workspace-global call/lock summary
-//!   pass feeding the `lock-order`, `result-dropped`,
-//!   `fp-reduction-order`, and `unbounded-growth` rules (DESIGN.md
-//!   §15).
+//! One analyzer, one pass per file: [`flow::file_flow`] lexes a file
+//! once ([`lexer`]), parses it once ([`ast`]), and runs all eleven
+//! rules' per-file parts on the result — the seven token rules of
+//! [`rules`] over the parser's non-test token view, and the four flow
+//! rules over the syntax tree and per-function CFGs with lock-guard
+//! liveness ([`mod@cfg`]). A workspace-global pass
+//! ([`flow::global_pass`]) then joins every file's function summaries
+//! into the call and lock graphs for `lock-order` and `result-dropped`
+//! (DESIGN.md §10, §15).
 //!
 //! Analysis is incremental ([`cache`]: FNV-1a content fingerprints,
 //! unchanged files replay their cached records) and parallel (files
@@ -44,7 +43,7 @@ pub mod rules;
 pub mod sarif;
 
 pub use report::{AllowEntry, Baseline};
-pub use rules::{analyze, scope_for, FileScope, Finding, RULE_NAMES};
+pub use rules::{scope_for, FileScope, Finding, RULE_NAMES};
 
 use cache::{fnv1a64, Cache, FileRecord};
 use std::collections::BTreeMap;
@@ -145,18 +144,12 @@ pub struct RunStats {
     /// Files whose AST did not cover every significant token:
     /// `(path, consumed, total)`. Parser bugs, surfaced loudly.
     pub coverage_gaps: Vec<(String, usize, usize)>,
+    /// Inline suppressions that silenced no finding, local or global:
+    /// `(path, line, rule)`. Meaningful only on full-workspace runs.
+    pub unused_allows: Vec<(String, u32, &'static str)>,
 }
 
-/// Lints every workspace source under `root`, returning findings with
-/// workspace-relative forward-slash paths, plus the file count.
-/// Convenience wrapper over [`analyze_workspace_with`] with default
-/// options (no cache, full workspace).
-pub fn analyze_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
-    let (findings, stats) = analyze_workspace_with(root, &AnalyzeOptions::default())?;
-    Ok((findings, stats.files_scanned))
-}
-
-/// Full analyzer entry point: token tier + flow tier per file
+/// Full analyzer entry point: the one per-file pass for every file
 /// (parallel, cached), then the workspace-global lock/result pass,
 /// merged deterministically — warm and cold runs are byte-identical.
 pub fn analyze_workspace_with(
@@ -226,7 +219,6 @@ pub fn analyze_workspace_with(
                 let src = &sources_ref[i];
                 out.push(FileRecord {
                     hash: fnv1a64(src.as_bytes()),
-                    token_findings: rules::analyze(rel, src),
                     flow: flow::file_flow(rel, src),
                 });
             }
@@ -246,7 +238,7 @@ pub fn analyze_workspace_with(
         files_scanned: files.len(),
         reparsed: miss_idx.len(),
         cached: files.len() - miss_ref.len(),
-        coverage_gaps: Vec::new(),
+        ..RunStats::default()
     };
     for (i, rec) in records.iter().enumerate() {
         let (consumed, total) = rec.flow.coverage;
@@ -256,22 +248,22 @@ pub fn analyze_workspace_with(
     }
 
     // Workspace-global pass over every file's summaries (cached or
-    // fresh — the inputs are identical either way).
+    // fresh — the inputs are identical either way). Its findings obey
+    // the inline suppressions of the file they land in.
     let flows: Vec<&flow::FileFlow> = records.iter().map(|r| &r.flow).collect();
-    let mut allow_comments: BTreeMap<String, Vec<(u32, String)>> = BTreeMap::new();
-    for (i, rec) in records.iter().enumerate() {
-        if !rec.flow.allow_comments.is_empty() {
-            allow_comments.insert(rels[i].clone(), rec.flow.allow_comments.clone());
+    let mut global = flow::global_pass(&flows);
+    let mut allows: BTreeMap<&str, Vec<flow::Allow>> =
+        rels.iter().zip(&records).map(|(rel, r)| (rel.as_str(), r.flow.allows.clone())).collect();
+    global.retain(|f| !allows.get_mut(f.file.as_str()).is_some_and(|a| flow::suppress(a, f)));
+    for (file, list) in &allows {
+        for a in list.iter().filter(|a| !a.used) {
+            stats.unused_allows.push((file.to_string(), a.line, a.rule));
         }
     }
-    let global = flow::global_pass(&flows, &allow_comments);
 
     // Deterministic merge: every finding, sorted by site.
-    let mut findings: Vec<Finding> = Vec::new();
-    for rec in &records {
-        findings.extend(rec.token_findings.iter().cloned());
-        findings.extend(rec.flow.findings.iter().cloned());
-    }
+    let mut findings: Vec<Finding> =
+        records.iter().flat_map(|r| r.flow.findings.iter().cloned()).collect();
     findings.extend(global);
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))

@@ -2,9 +2,9 @@
 //!
 //! Exit status: `0` when every finding is baselined (or `--deny` is
 //! absent), `1` when active findings — or, under `--deny`, stale
-//! baseline entries — remain, `2` on usage or I/O errors. Human output
-//! goes to stderr so `--json` on stdout stays machine-clean for
-//! `> lint_report.json`.
+//! baseline entries or unused inline suppressions — remain, `2` on
+//! usage or I/O errors. Human output goes to stderr so `--json` on
+//! stdout stays machine-clean for `> lint_report.json`.
 
 use nd_lint::report::prune_baseline;
 use nd_lint::{analyze_workspace_with, AnalyzeOptions, Baseline, RULE_NAMES};
@@ -113,8 +113,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // A parser coverage gap means the flow tier silently skipped
-    // tokens somewhere — that is an analyzer bug, never acceptable.
+    // A parser coverage gap means the rules silently skipped tokens
+    // somewhere — that is an analyzer bug, never acceptable.
     for (file, consumed, total) in &stats.coverage_gaps {
         eprintln!(
             "nd-lint: error: parser covered {consumed}/{total} significant tokens of {file}"
@@ -133,8 +133,16 @@ fn main() -> ExitCode {
 
     // `--changed` sees a partial file list, so an entry matching no
     // finding may simply be out of scope this run: never prune or
-    // hard-error on staleness from a partial view.
+    // hard-error on staleness from a partial view. The same holds for
+    // inline suppressions, whose global findings need every file.
+    let level = if args.deny { "error" } else { "warning" };
     let stale = if args.changed { Vec::new() } else { baseline.stale(&findings) };
+    let unused = if args.changed { &[][..] } else { &stats.unused_allows[..] };
+    for (file, line, rule) in unused {
+        eprintln!(
+            "nd-lint: {level}: unused suppression `allow({rule})` at {file}:{line} silences nothing — delete it"
+        );
+    }
     if args.prune_baseline && !args.changed {
         let (new_text, pruned) = prune_baseline(&allow_text, &findings);
         if pruned > 0 {
@@ -151,8 +159,7 @@ fn main() -> ExitCode {
     } else {
         for s in &stale {
             eprintln!(
-                "nd-lint: {}: stale baseline entry `{} {}{}` matches nothing — run --prune-baseline",
-                if args.deny { "error" } else { "warning" },
+                "nd-lint: {level}: stale baseline entry `{} {}{}` matches nothing — run --prune-baseline",
                 s.rule,
                 s.file,
                 s.line.map(|l| format!(":{l}")).unwrap_or_default()
@@ -196,6 +203,12 @@ fn main() -> ExitCode {
     }
     if stale_fails {
         eprintln!("nd-lint: failing (--deny): stale baseline entries — run `nd-lint --prune-baseline`");
+        return ExitCode::from(1);
+    }
+    if args.deny && !unused.is_empty() {
+        eprintln!(
+            "nd-lint: failing (--deny): unused inline suppressions — delete the comments above"
+        );
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS

@@ -1,33 +1,35 @@
-//! The invariant rules and the scanner that applies them.
+//! Rule names, path scopes, and the seven token rules.
 //!
-//! Everything here is deliberately *syntactic*: no type inference, no
-//! name resolution. Each rule is a token-pattern heuristic tuned to
-//! this workspace's idioms, scoped by file path (see [`FileScope`]),
-//! with escape hatches for the cases the heuristic cannot see:
-//! `// nd-lint: allow(rule-name)` on the finding's line or the line
-//! above, and the checked-in `lint.allow` baseline for grandfathered
-//! findings.
+//! nd-lint has one analyzer: [`crate::flow::file_flow`] lexes and
+//! parses each file once and runs every per-file rule on the result.
+//! This module holds what every rule shares — [`RULE_NAMES`],
+//! [`Finding`], the path-derived [`FileScope`] — and the seven rules
+//! that are local token matches over the parser's non-test token view
+//! (`TokenView`). The parse supplies the two facts a token match
+//! cannot see: the bodies of `impl` blocks for `*Scratch` types and
+//! the iterable of every `for` loop. No rule infers types or resolves
+//! names; each is a heuristic tuned to this workspace's idioms, with
+//! escape hatches for what it cannot see: `// nd-lint: allow(rule)` on
+//! the finding's line or the line above, and the checked-in
+//! `lint.allow` baseline for grandfathered findings.
 //!
-//! | Rule              | Scope                         | Catches |
-//! |-------------------|-------------------------------|---------|
-//! | `nondet-time`     | kernel crates                 | `Instant::now`, `SystemTime` |
-//! | `nondet-hash-iter`| kernel crates                 | iterating a `HashMap`/`HashSet` |
-//! | `stray-spawn`     | everywhere but nd-par/nd-serve| `thread::spawn` & friends |
-//! | `panic-path`      | nd-serve, nd-core checkpoints | `unwrap`/`expect`/`panic!`/`x[0]` |
-//! | `unsafe-comment`  | whole workspace               | `unsafe` without `// SAFETY:` |
-//! | `hot-loop-alloc`  | NMF / Word2Vec / layer / PrefixSpan files | `Vec::new` / `vec![` / `with_capacity` outside `*Scratch` impls |
-//! | `stage-io`        | nd-core                       | raw `std::fs` / `File` / `OpenOptions` instead of nd-store |
+//! | Rule                 | Scope ([`scope_for`])              | Catches |
+//! |----------------------|------------------------------------|---------|
+//! | `nondet-time`        | kernel crates                      | `Instant::now`, `SystemTime` |
+//! | `nondet-hash-iter`   | kernel crates                      | iterating a `HashMap`/`HashSet` |
+//! | `stray-spawn`        | everywhere but nd-par/nd-serve     | `thread::spawn` & friends |
+//! | `panic-path`         | nd-serve, nd-core checkpoints      | `unwrap`/`expect`/`panic!`/`x[0]` |
+//! | `unsafe-comment`     | whole workspace                    | `unsafe` without `// SAFETY:` |
+//! | `hot-loop-alloc`     | the six training hot-path files    | `Vec::new` / `vec![` / `with_capacity` outside `*Scratch` impls |
+//! | `stage-io`           | nd-core                            | raw `std::fs` / `File` / `OpenOptions` instead of nd-store |
 //!
-//! The flow-sensitive tier (`lock-order`, `result-dropped`,
-//! `fp-reduction-order`, `unbounded-growth`) lives in [`crate::flow`]
-//! on top of the AST/CFG modules; `lock-order` supersedes the old
-//! token-level `lock-across-io` heuristic with path-sensitive guard
-//! liveness and a workspace-global acquisition graph.
-//!
-//! Code under `#[cfg(test)]` / `#[test]` is skipped: tests are allowed
-//! to unwrap, spawn, and time things.
+//! The other four rules (`lock-order`, `result-dropped`,
+//! `fp-reduction-order`, `unbounded-growth`) need the tree itself and
+//! live in [`crate::flow`]. Code in test-only items is skipped: tests
+//! may unwrap, spawn, and time things.
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::ast::SigTok;
+use crate::lexer::TokKind;
 
 /// Crates whose numeric output must be bit-for-bit reproducible
 /// (DESIGN.md §8): the determinism rules apply to their `src/` trees.
@@ -130,165 +132,94 @@ pub fn scope_for(rel: &str) -> FileScope {
     }
 }
 
-/// A significant token: text + line, whitespace and comments removed.
-#[derive(Clone)]
-struct STok {
-    text: String,
-    kind: TokKind,
-    line: u32,
+/// `name` as its interned [`RULE_NAMES`] entry, `None` for an unknown
+/// rule.
+pub(crate) fn rule_name(name: &str) -> Option<&'static str> {
+    RULE_NAMES.iter().find(|&&r| r == name).copied()
 }
 
-/// Lexes and lints one file. `rel` decides the scope; suppression
-/// comments are honored here, the baseline is the caller's business.
-pub fn analyze(rel: &str, src: &str) -> Vec<Finding> {
-    let scope = scope_for(rel);
-    let toks = lex(src);
+/// The known rules an `// nd-lint: allow(rule, …)` comment names.
+pub(crate) fn allowed_rules(comment: &str) -> Vec<&'static str> {
+    let Some(idx) = comment.find("nd-lint:") else { return Vec::new() };
+    let rest = &comment[idx + "nd-lint:".len()..];
+    let Some(open) = rest.find("allow(") else { return Vec::new() };
+    let args = &rest[open + "allow(".len()..];
+    let Some(close) = args.find(')') else { return Vec::new() };
+    args[..close].split(',').filter_map(|r| rule_name(r.trim())).collect()
+}
 
-    // Comment index for SAFETY / suppression lookups.
-    let comments: Vec<(u32, &str)> = toks
-        .iter()
-        .filter(|t| matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .map(|t| (t.line, t.text.as_str()))
-        .collect();
+/// The parser's non-test token view of one file: every significant
+/// token outside test items, in source order, plus the two facts the
+/// parse supplies, as positions in that order.
+pub(crate) struct TokenView<'a> {
+    sig: Vec<&'a SigTok>,
+    /// Spans `[lo, hi)` of `impl` blocks for `*Scratch` types.
+    scratch: Vec<(usize, usize)>,
+    /// The last token of each `for` loop's iterable.
+    for_iters: Vec<usize>,
+}
 
-    let sig = significant_outside_tests(&toks);
+impl<'a> TokenView<'a> {
+    /// Drops the tokens of the `tests` spans from `toks` and maps the
+    /// `scratch` spans and `for_iters` indices, which index `toks`,
+    /// onto the remaining tokens.
+    pub(crate) fn new(
+        toks: &'a [SigTok],
+        tests: &[(usize, usize)],
+        scratch: &[(usize, usize)],
+        for_iters: &[usize],
+    ) -> Self {
+        let mut in_test = vec![false; toks.len()];
+        for &(lo, hi) in tests {
+            in_test[lo..hi].fill(true);
+        }
+        let keep: Vec<usize> = (0..toks.len()).filter(|&i| !in_test[i]).collect();
+        let at = |i: usize| keep.partition_point(|&k| k < i);
+        TokenView {
+            sig: keep.iter().map(|&i| &toks[i]).collect(),
+            scratch: scratch.iter().map(|&(lo, hi)| (at(lo), at(hi))).collect(),
+            for_iters: for_iters.iter().filter(|&&i| !in_test[i]).map(|&i| at(i)).collect(),
+        }
+    }
+}
 
-    let mut findings = Vec::new();
+/// Runs the seven token rules that `scope` enables over `view`.
+/// `comments` are the file's `(line, text)` comments, for the
+/// `SAFETY:` lookup; suppression is the caller's business.
+pub(crate) fn token_rules(
+    rel: &str,
+    scope: FileScope,
+    view: &TokenView<'_>,
+    comments: &[(u32, String)],
+    out: &mut Vec<Finding>,
+) {
+    let sig = &view.sig;
     if scope.determinism {
-        rule_nondet_time(rel, &sig, &mut findings);
-        rule_nondet_hash_iter(rel, &sig, &mut findings);
+        rule_nondet_time(rel, sig, out);
+        rule_nondet_hash_iter(rel, sig, &view.for_iters, out);
     }
     if scope.spawn_check {
-        rule_stray_spawn(rel, &sig, &mut findings);
+        rule_stray_spawn(rel, sig, out);
     }
     if scope.panic_path {
-        rule_panic_path(rel, &sig, &mut findings);
+        rule_panic_path(rel, sig, out);
     }
-    rule_unsafe_comment(rel, &sig, &comments, &mut findings);
+    rule_unsafe_comment(rel, sig, comments, out);
     if scope.hot_loop {
-        rule_hot_loop_alloc(rel, &sig, &mut findings);
+        rule_hot_loop_alloc(rel, sig, &view.scratch, out);
     }
     if scope.stage_io {
-        rule_stage_io(rel, &sig, &mut findings);
+        rule_stage_io(rel, sig, out);
     }
-
-    findings.retain(|f| !suppressed(&comments, f));
-    findings.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
-    findings
 }
 
-/// True when a `// nd-lint: allow(rule, …)` comment on the finding's
-/// line or the line above names this finding's rule.
-fn suppressed(comments: &[(u32, &str)], f: &Finding) -> bool {
-    comments.iter().any(|&(line, text)| {
-        (line == f.line || line + 1 == f.line) && comment_allows(text, f.rule)
-    })
-}
-
-pub(crate) fn comment_allows(comment: &str, rule: &str) -> bool {
-    let Some(idx) = comment.find("nd-lint:") else { return false };
-    let rest = &comment[idx + "nd-lint:".len()..];
-    let Some(open) = rest.find("allow(") else { return false };
-    let args = &rest[open + "allow(".len()..];
-    let Some(close) = args.find(')') else { return false };
-    args[..close].split(',').any(|r| r.trim() == rule)
-}
-
-/// Filters to significant tokens, dropping any item annotated
-/// `#[cfg(test)]` / `#[test]` (attributes included) and everything in
-/// its braces.
-fn significant_outside_tests(toks: &[Tok]) -> Vec<STok> {
-    let sig: Vec<&Tok> = toks
-        .iter()
-        .filter(|t| {
-            !matches!(
-                t.kind,
-                TokKind::Whitespace | TokKind::LineComment | TokKind::BlockComment
-            )
-        })
-        .collect();
-
-    let mut out = Vec::with_capacity(sig.len());
-    let mut i = 0usize;
-    let mut pending_test_attr = false;
-    while i < sig.len() {
-        if sig[i].text == "#" && i + 1 < sig.len() && sig[i + 1].text == "[" {
-            // Attribute: bracket-match its contents.
-            let close = match_delim(&sig, i + 1, "[", "]");
-            let body: Vec<&str> =
-                sig[i + 2..close.min(sig.len())].iter().map(|t| t.text.as_str()).collect();
-            let is_test = body.first() == Some(&"test")
-                || (body.contains(&"cfg") && body.contains(&"test"));
-            if is_test {
-                pending_test_attr = true;
-                i = close + 1;
-                continue; // drop the attribute itself too
-            }
-            if pending_test_attr {
-                // Attribute stacked between #[cfg(test)] and the item:
-                // swallow it as part of the skipped item.
-                i = close + 1;
-                continue;
-            }
-            for t in &sig[i..=close.min(sig.len() - 1)] {
-                out.push(STok { text: t.text.clone(), kind: t.kind, line: t.line });
-            }
-            i = close + 1;
-            continue;
-        }
-        if pending_test_attr {
-            // Skip the annotated item: everything up to the first `;`
-            // at item level, or the matching `}` of its first block.
-            let mut j = i;
-            let mut depth = 0i32;
-            while j < sig.len() {
-                match sig[j].text.as_str() {
-                    "{" => {
-                        let close = match_delim(&sig, j, "{", "}");
-                        j = close;
-                        break;
-                    }
-                    ";" if depth == 0 => break,
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    _ => {}
-                }
-                j += 1;
-            }
-            i = j + 1;
-            pending_test_attr = false;
-            continue;
-        }
-        out.push(STok { text: sig[i].text.clone(), kind: sig[i].kind, line: sig[i].line });
-        i += 1;
-    }
-    out
-}
-
-/// Index of the token matching the opener at `open_idx` (which must
-/// hold `open`). Returns the last index when unbalanced.
-fn match_delim(sig: &[&Tok], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in sig.iter().enumerate().skip(open_idx) {
-        if t.text == open {
-            depth += 1;
-        } else if t.text == close {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    sig.len().saturating_sub(1)
-}
-
-fn is(sig: &[STok], i: usize, text: &str) -> bool {
+fn is(sig: &[&SigTok], i: usize, text: &str) -> bool {
     sig.get(i).is_some_and(|t| t.text == text)
 }
 
 // ---------------------------------------------------------------- D —
 
-fn rule_nondet_time(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
+fn rule_nondet_time(rel: &str, sig: &[&SigTok], out: &mut Vec<Finding>) {
     for i in 0..sig.len() {
         if sig[i].text == "SystemTime" {
             out.push(Finding {
@@ -315,21 +246,27 @@ fn rule_nondet_time(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_nondet_hash_iter(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
+fn rule_nondet_hash_iter(
+    rel: &str,
+    sig: &[&SigTok],
+    for_iters: &[usize],
+    out: &mut Vec<Finding>,
+) {
     let names = hash_bound_names(sig);
     if names.is_empty() {
         return;
     }
     let iter_methods =
         ["iter", "iter_mut", "into_iter", "keys", "values", "values_mut", "drain", "into_keys", "into_values"];
-    let flag = |name: &str, line: u32, out: &mut Vec<Finding>| {
+    let flag = |t: &SigTok, out: &mut Vec<Finding>| {
         out.push(Finding {
             rule: "nondet-hash-iter",
             file: rel.to_string(),
-            line,
+            line: t.line,
             message: format!(
-                "iteration over hash-ordered `{name}`: HashMap/HashSet order is \
-                 nondeterministic; use BTreeMap/BTreeSet or collect-and-sort"
+                "iteration over hash-ordered `{}`: HashMap/HashSet order is \
+                 nondeterministic; use BTreeMap/BTreeSet or collect-and-sort",
+                t.text
             ),
         });
     };
@@ -337,57 +274,24 @@ fn rule_nondet_hash_iter(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
     // `self`: the registry is file-global, so `other.name` may be an
     // unrelated (non-hash) field that merely shares the identifier.
     let self_or_bare = |i: usize| !is(sig, i.wrapping_sub(1), ".") || is(sig, i.wrapping_sub(2), "self");
+    let hash_name = |i: usize| {
+        sig[i].kind == TokKind::Ident && names.contains(&sig[i].text) && self_or_bare(i)
+    };
+    // name.iter() / self.name.keys() / …
     for i in 0..sig.len() {
-        // name.iter() / self.name.keys() / …
-        if sig[i].kind == TokKind::Ident
-            && names.contains(&sig[i].text)
-            && self_or_bare(i)
+        if hash_name(i)
             && is(sig, i + 1, ".")
             && sig.get(i + 2).is_some_and(|t| iter_methods.contains(&t.text.as_str()))
             && is(sig, i + 3, "(")
         {
-            flag(&sig[i].text, sig[i].line, out);
+            flag(sig[i], out);
         }
-        // for pat in name { / for pat in &name { / for pat in &mut name {
-        if sig[i].text == "for" {
-            // Find the matching `in` at depth 0, then the loop `{`.
-            let mut j = i + 1;
-            let mut depth = 0i32;
-            while j < sig.len() && !(depth == 0 && sig[j].text == "in") {
-                match sig[j].text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "{" | ";" => break, // not a for-loop header after all
-                    _ => {}
-                }
-                j += 1;
-            }
-            if !is(sig, j, "in") {
-                continue;
-            }
-            // Iterable expression: tokens up to the body `{`.
-            let mut k = j + 1;
-            let mut depth = 0i32;
-            while k < sig.len() && !(depth == 0 && sig[k].text == "{") {
-                match sig[k].text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    ";" => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            let expr = &sig[j + 1..k.min(sig.len())];
-            // Flag `… name` and `… &name` (a bare map/set as the
-            // iterable); method calls were handled above.
-            if let Some(last) = expr.last() {
-                if last.kind == TokKind::Ident
-                    && names.contains(&last.text)
-                    && self_or_bare(k.min(sig.len()) - 1)
-                {
-                    flag(&last.text, last.line, out);
-                }
-            }
+    }
+    // for pat in name { / in &name { / in &mut name { — a bare map or
+    // set as the iterable; method calls were handled above.
+    for &i in for_iters {
+        if hash_name(i) {
+            flag(sig[i], out);
         }
     }
 }
@@ -396,7 +300,7 @@ fn rule_nondet_hash_iter(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
 /// in the file: `let x: HashMap<…>`, `let x = HashMap::new()`, struct
 /// fields and fn params `x: &HashMap<…>`. File-global and
 /// flow-insensitive by design.
-fn hash_bound_names(sig: &[STok]) -> Vec<String> {
+fn hash_bound_names(sig: &[&SigTok]) -> Vec<String> {
     let mut names = Vec::new();
     for i in 0..sig.len() {
         if sig[i].text != "HashMap" && sig[i].text != "HashSet" {
@@ -448,7 +352,7 @@ fn hash_bound_names(sig: &[STok]) -> Vec<String> {
     names
 }
 
-fn rule_stray_spawn(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
+fn rule_stray_spawn(rel: &str, sig: &[&SigTok], out: &mut Vec<Finding>) {
     for i in 0..sig.len() {
         let spawnish = sig[i].text == "spawn";
         if spawnish && is(sig, i + 1, "(") {
@@ -467,7 +371,7 @@ fn rule_stray_spawn(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
 
 // ---------------------------------------------------------------- P —
 
-fn rule_panic_path(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
+fn rule_panic_path(rel: &str, sig: &[&SigTok], out: &mut Vec<Finding>) {
     let flag = |line: u32, what: &str, out: &mut Vec<Finding>| {
         out.push(Finding {
             rule: "panic-path",
@@ -516,8 +420,8 @@ fn rule_panic_path(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
 
 fn rule_unsafe_comment(
     rel: &str,
-    sig: &[STok],
-    comments: &[(u32, &str)],
+    sig: &[&SigTok],
+    comments: &[(u32, String)],
     out: &mut Vec<Finding>,
 ) {
     for t in sig {
@@ -526,7 +430,7 @@ fn rule_unsafe_comment(
         }
         let documented = comments
             .iter()
-            .any(|&(line, text)| line + 2 >= t.line && line <= t.line && text.contains("SAFETY:"));
+            .any(|(line, text)| line + 2 >= t.line && *line <= t.line && text.contains("SAFETY:"));
         if !documented {
             out.push(Finding {
                 rule: "unsafe-comment",
@@ -540,58 +444,21 @@ fn rule_unsafe_comment(
     }
 }
 
-// ---------------------------------------------------------------- L —
-
-/// Blocking calls a lock guard must not be held across. `open` is
-/// matched only as a path segment (`Database::open`). Shared with the
-/// flow tier's `lock-order` rule.
-pub(crate) const IO_CALLS: &[&str] = &[
-    "write_response",
-    "write_all",
-    "write_fmt",
-    "flush",
-    "read_to_end",
-    "read_exact",
-    "read_line",
-    "read_until",
-    "persist",
-    "join",
-    "recv",
-    "recv_timeout",
-    "accept",
-    "connect",
-    "sleep",
-    "send_to",
-    "sync_all",
-];
-
 // ---------------------------------------------------------------- H —
 
 /// Flags heap allocations (`Vec::new()`, `vec![…]`, `*::with_capacity(…)`)
 /// in the training hot-path files. Scratch workspaces are the escape
-/// valve: anything inside an `impl` block whose header names a type
-/// containing `Scratch` is exempt — that is where buffers are *meant*
-/// to be created. `resize_with(n, Vec::new)` (no call parens) and
-/// `.collect()` are not flagged.
-fn rule_hot_loop_alloc(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
-    // Exempt ranges: bodies of `impl …Scratch… { … }`.
-    let mut exempt: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0usize;
-    while i < sig.len() {
-        if sig[i].text == "impl" {
-            let Some(open) = (i + 1..sig.len()).find(|&k| sig[k].text == "{") else { break };
-            let for_scratch = sig[i + 1..open]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && t.text.contains("Scratch"));
-            if for_scratch {
-                exempt.push((open, match_delim_stok(sig, open, "{", "}")));
-            }
-            i = open + 1;
-            continue;
-        }
-        i += 1;
-    }
-    let exempted = |idx: usize| exempt.iter().any(|&(a, b)| idx > a && idx < b);
+/// valve: anything inside an `impl` block for a type whose name
+/// contains `Scratch` (the `scratch` spans) is exempt — that is where
+/// buffers are *meant* to be created. `resize_with(n, Vec::new)` (no
+/// call parens) and `.collect()` are not flagged.
+fn rule_hot_loop_alloc(
+    rel: &str,
+    sig: &[&SigTok],
+    scratch: &[(usize, usize)],
+    out: &mut Vec<Finding>,
+) {
+    let exempted = |idx: usize| scratch.iter().any(|&(lo, hi)| (lo..hi).contains(&idx));
     let mut flag = |line: u32, what: &str| {
         out.push(Finding {
             rule: "hot-loop-alloc",
@@ -633,7 +500,7 @@ fn rule_hot_loop_alloc(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
 /// `OpenOptions` in this crate bypasses fingerprinting and crash
 /// safety, and silently forks the cache format — route the I/O
 /// through the store instead.
-fn rule_stage_io(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
+fn rule_stage_io(rel: &str, sig: &[&SigTok], out: &mut Vec<Finding>) {
     let mut flag = |line: u32, what: &str| {
         out.push(Finding {
             rule: "stage-io",
@@ -665,25 +532,14 @@ fn rule_stage_io(rel: &str, sig: &[STok], out: &mut Vec<Finding>) {
     }
 }
 
-/// [`match_delim`] over already-filtered significant tokens.
-fn match_delim_stok(sig: &[STok], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in sig.iter().enumerate().skip(open_idx) {
-        if t.text == open {
-            depth += 1;
-        } else if t.text == close {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    sig.len().saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Findings of the one per-file pass.
+    fn analyze(rel: &str, src: &str) -> Vec<Finding> {
+        crate::flow::file_flow(rel, src).findings
+    }
 
     const KERNEL: &str = "crates/events/src/x.rs";
     const SERVE: &str = "crates/serve/src/x.rs";

@@ -1,10 +1,10 @@
 //! Parser total-coverage check over the real workspace: every
 //! significant token of every source file must be consumed by the
-//! recursive-descent parser. A gap means the flow tier silently
-//! skipped code — the analyzer's cardinal sin — so this fails loudly
-//! with the exact file and token counts.
+//! recursive-descent parser. A gap means the rules silently skipped
+//! code — the analyzer's cardinal sin — so this fails loudly with the
+//! exact file and token counts.
 
-use nd_lint::ast::{parse_file, significant};
+use nd_lint::ast::{parse_file, tokens};
 use nd_lint::workspace_sources;
 use std::path::Path;
 
@@ -25,7 +25,7 @@ fn parser_covers_every_token_of_every_workspace_file() {
     let mut gaps = Vec::new();
     for path in &files {
         let src = std::fs::read_to_string(path).expect("readable source");
-        let toks = significant(&src);
+        let (toks, _) = tokens(&src);
         let (_, cov) = parse_file(&toks);
         if cov.consumed != cov.total {
             gaps.push(format!(
@@ -86,7 +86,7 @@ fn every_function_gets_a_cfg() {
     let mut fns = 0usize;
     for path in &files {
         let src = std::fs::read_to_string(path).expect("readable source");
-        let toks = significant(&src);
+        let (toks, _) = tokens(&src);
         let (parsed, _) = parse_file(&toks);
         for item in &parsed.items {
             if let ItemKind::Fn(f) = &item.kind {

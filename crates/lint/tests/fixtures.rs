@@ -1,41 +1,37 @@
 //! Fixture-driven end-to-end checks: every rule has one violating and
 //! one clean fixture under `tests/fixtures/`, analyzed under a
 //! virtual workspace path that places it in the rule's scope. The
-//! fixtures are real Rust source the lexer must survive, but they are
-//! never compiled — `analyze` is purely syntactic.
+//! fixtures are real Rust source the lexer and parser must survive,
+//! but they are never compiled — `file_flow` is purely syntactic.
 
 use nd_lint::flow::{file_flow, global_pass};
-use nd_lint::{analyze, Baseline};
-use std::collections::BTreeMap;
+use nd_lint::Baseline;
 
 /// A path inside a determinism-scoped kernel crate.
 const KERNEL: &str = "crates/neural/src/fixture.rs";
 /// A path inside the panic-safety + lock-discipline serving tier.
 const SERVE: &str = "crates/serve/src/fixture.rs";
 
-/// Distinct rule names found in `src` when analyzed as `path`.
+/// Distinct rule names the per-file pass finds in `src` analyzed as
+/// `path`.
 fn rules(path: &str, src: &str) -> Vec<&'static str> {
     let mut r: Vec<&'static str> =
-        analyze(path, src).into_iter().map(|f| f.rule).collect();
+        file_flow(path, src).findings.into_iter().map(|f| f.rule).collect();
     r.sort_unstable();
     r.dedup();
     r
 }
 
-/// Distinct flow-tier rule names (per-file findings plus the global
-/// pass over this one file's summaries) for `src` analyzed as `path`.
+/// Distinct rule names of the per-file findings plus the global pass
+/// over this one file's summaries, for `src` analyzed as `path`.
 fn flow_rules(path: &str, src: &str) -> Vec<&'static str> {
     let ff = file_flow(path, src);
     assert_eq!(ff.coverage.0, ff.coverage.1, "parser must cover {path} fully");
-    let mut allow = BTreeMap::new();
-    if !ff.allow_comments.is_empty() {
-        allow.insert(path.to_string(), ff.allow_comments.clone());
-    }
     let mut r: Vec<&'static str> = ff
         .findings
         .iter()
         .map(|f| f.rule)
-        .chain(global_pass(&[&ff], &allow).iter().map(|f| f.rule))
+        .chain(global_pass(&[&ff]).iter().map(|f| f.rule))
         .collect();
     r.sort_unstable();
     r.dedup();
@@ -74,7 +70,7 @@ fn stray_spawn_scoping() {
 fn panic_path_fixture_pair() {
     let bad = include_str!("fixtures/panic_path_bad.rs");
     let good = include_str!("fixtures/panic_path_good.rs");
-    let found = analyze(SERVE, bad);
+    let found = file_flow(SERVE, bad).findings;
     assert_eq!(found.len(), 2, "one finding per panic site: {found:?}");
     assert!(found.iter().all(|f| f.rule == "panic-path"));
     assert_eq!(rules(SERVE, good), [] as [&str; 0]);
@@ -113,9 +109,6 @@ fn lock_order_fixture_pair() {
     // across a blocking write.
     assert_eq!(flow_rules(SERVE, bad), ["lock-order"]);
     assert_eq!(flow_rules(SERVE, good), [] as [&str; 0]);
-    // Token tier stays silent on both.
-    assert_eq!(rules(SERVE, bad), [] as [&str; 0]);
-    assert_eq!(rules(SERVE, good), [] as [&str; 0]);
 }
 
 #[test]
@@ -164,7 +157,7 @@ fn hot_loop_alloc_fixture_pair() {
 #[test]
 fn findings_carry_file_and_line() {
     let bad = include_str!("fixtures/nondet_time_bad.rs");
-    let f = &analyze(KERNEL, bad)[0];
+    let f = &file_flow(KERNEL, bad).findings[0];
     assert_eq!(f.file, KERNEL);
     assert_eq!(f.line, 5, "Instant::now() sits on line 5 of the fixture");
     let rendered = f.to_string();
@@ -187,7 +180,7 @@ fn suppression_comment_silences_one_site() {
 #[test]
 fn baseline_covers_fixture_finding() {
     let bad = include_str!("fixtures/nondet_time_bad.rs");
-    let finding = &analyze(KERNEL, bad)[0];
+    let finding = &file_flow(KERNEL, bad).findings[0];
     let by_line = Baseline::parse("nondet-time crates/neural/src/fixture.rs:5\n");
     assert!(by_line.covers(finding));
     let whole_file = Baseline::parse("nondet-time crates/neural/src/fixture.rs\n");

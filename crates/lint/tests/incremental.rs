@@ -4,8 +4,12 @@
 //! never a source of truth.
 
 use nd_lint::report::render_json;
-use nd_lint::{analyze_workspace_with, AnalyzeOptions};
-use std::path::PathBuf;
+use nd_lint::{analyze_workspace_with, AnalyzeOptions, Baseline};
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+/// Serialises `NEWSDIFF_THREADS` mutations within this test binary.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const PUMP_BAD: &str = r#"
 use std::sync::mpsc::Receiver;
@@ -30,6 +34,22 @@ const SUM_FIXED: &str = r#"
 pub fn mean(xs: &[f64]) -> f64 {
     // nd-lint: allow(fp-reduction-order) — serial sum in slice order
     xs.iter().sum::<f64>() / xs.len() as f64
+}
+"#;
+
+/// One suppression only a global finding uses, one only a local
+/// finding uses, and one that silences nothing.
+const QUIET: &str = r#"
+pub fn persist_thing() -> Result<(), String> {
+    Ok(())
+}
+pub fn teardown(tx: &std::sync::mpsc::Sender<u64>) {
+    // nd-lint: allow(result-dropped) — teardown, nothing to report to
+    let _ = persist_thing();
+    // nd-lint: allow(result-dropped) — the receiver may be gone
+    let _ = tx.send(1);
+    // nd-lint: allow(panic-path)
+    let _n = 1;
 }
 "#;
 
@@ -123,4 +143,46 @@ fn changed_only_without_git_falls_back_to_full_workspace() {
     assert_eq!(stats.files_scanned, 2);
     assert_eq!(findings.len(), 2, "{findings:?}");
     std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn unused_suppressions_are_reported_identically_warm_and_cold() {
+    let root = scratch_workspace("unused");
+    std::fs::write(root.join("crates/serve/src/quiet.rs"), QUIET).unwrap();
+    for run in ["cold", "warm"] {
+        let (findings, stats) = analyze_workspace_with(&root, &opts(&root)).unwrap();
+        assert_eq!(stats.reparsed, if run == "cold" { 3 } else { 0 }, "{run}");
+        assert!(
+            findings.iter().all(|f| f.file != "crates/serve/src/quiet.rs"),
+            "{run}: both result-dropped findings are suppressed: {findings:?}"
+        );
+        assert_eq!(
+            stats.unused_allows,
+            [("crates/serve/src/quiet.rs".to_string(), 10, "panic-path")],
+            "{run}"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn workspace_report_is_thread_count_invariant() {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let baseline =
+        Baseline::parse(&std::fs::read_to_string(root.join("lint.allow")).unwrap_or_default());
+    let uncached = AnalyzeOptions { cache_path: None, changed_only: false };
+    let _guard = ENV_LOCK.lock().unwrap();
+    let mut reports = Vec::new();
+    for threads in ["1", "2", "8"] {
+        std::env::set_var("NEWSDIFF_THREADS", threads);
+        let (findings, stats) = analyze_workspace_with(root, &uncached).unwrap();
+        let tagged: Vec<_> =
+            findings.into_iter().map(|f| (f.clone(), baseline.covers(&f))).collect();
+        reports.push((threads, render_json(&tagged, stats.files_scanned)));
+    }
+    std::env::remove_var("NEWSDIFF_THREADS");
+    let (_, reference) = &reports[0];
+    for (threads, report) in &reports[1..] {
+        assert_eq!(report, reference, "report at {threads} threads differs from 1 thread");
+    }
 }

@@ -328,7 +328,6 @@ pub fn write_response_with(
     use std::fmt::Write as _;
     scratch.clear();
     // Writing to a String cannot fail.
-    // nd-lint: allow(result-dropped) — fmt::Write to String is infallible
     let _ = write!(
         scratch,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",

@@ -285,7 +285,6 @@ pub fn closed_loop(
                     // A transport error kills the connection; reconnect
                     // so one hiccup doesn't void the remaining plan.
                     if status.is_none() {
-                        // nd-lint: allow(result-dropped) — a failed reconnect is counted as an error by the next request's `record(None, …)`
                         if let Ok(fresh) = Client::connect(addr) {
                             client = fresh;
                         }
@@ -386,7 +385,6 @@ pub fn open_loop(
                         .min(u64::MAX as u128) as u64;
                     tally.record(status, us);
                     if status.is_none() {
-                        // nd-lint: allow(result-dropped) — a failed reconnect is counted as an error by the next request's `record(None, …)`
                         if let Ok(fresh) = Client::connect(addr) {
                             client = fresh;
                         }
