@@ -17,6 +17,16 @@ echo "==> benchmark build (perfbench/ against the workspace; --locked rejects lo
 # the benchmark runs.
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "==> benchmark answers (quick traced predict_closed: served answers, batcher and parse probes vs the workspace)"
+# ~10 s. predict_open and freshness stay out: their open-loop lateness
+# rule can flip `correct` on a loaded host.
+quick=$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload predict_closed --seed 1 --seconds 1 --trace 1 --quick | tail -n 1)
+if [[ $quick != *'"correct":true'* || $quick != *'"failed":0'* ]]; then
+    echo "perfbench predict_closed quick run is not correct with 0 failed: $quick"
+    exit 1
+fi
+
 echo "==> tests (workspace)"
 NEWSDIFF_THREADS=4 cargo test -q --workspace
 

@@ -256,6 +256,42 @@ mod tests {
         assert!(summary.contains("MaxPool1d"), "{summary}");
     }
 
+    /// The bits of `len` output rows from `start`.
+    fn row_bits(m: &Mat, start: usize, len: usize) -> Vec<u64> {
+        (start..start + len).flat_map(|r| m.row(r).iter().map(|v| v.to_bits())).collect()
+    }
+
+    /// Rows `start..start + len` of `x` as a batch of their own.
+    fn sub_batch(x: &Mat, start: usize, len: usize) -> Mat {
+        let data = (start..start + len).flat_map(|r| x.row(r).to_vec()).collect();
+        Mat::from_vec(len, x.cols(), data).unwrap()
+    }
+
+    #[test]
+    fn batch_size_keeps_bits_where_serving_relies_on_it() {
+        // No Dense input wider than gemm::KC = 256: a row alone and the
+        // same row inside a 16-row batch round alike.
+        let x = Mat::random_uniform(16, 256, -1.0, 1.0, 7);
+        let mlp = build_mlp(256, 1000);
+        let full = mlp.predict_batch(&x);
+        for r in 0..16 {
+            let alone = mlp.predict_batch(&sub_batch(&x, r, 1));
+            assert_eq!(row_bits(&alone, 0, 1), row_bits(&full, r, 1), "row {r} at width 256");
+        }
+        // At the served width 308 a 1-6-row pass takes the naive GEMM
+        // kernel and rounds differently; serving relies only on passes
+        // of 8 and 16 rows, which both take the packed kernel, agreeing.
+        let x = Mat::random_uniform(16, 308, -1.0, 1.0, 8);
+        for (name, net) in [("mlp", build_mlp(308, 1000)), ("cnn", build_cnn(308, 1000))] {
+            let full = net.predict_batch(&x);
+            for start in [0, 8] {
+                let part = net.predict_batch(&sub_batch(&x, start, 8));
+                let expected = row_bits(&full, start, 8);
+                assert_eq!(row_bits(&part, 0, 8), expected, "{name} rows {start}..");
+            }
+        }
+    }
+
     #[test]
     fn network_kind_metadata() {
         assert_eq!(NetworkKind::ALL.len(), 4);

@@ -57,10 +57,15 @@ impl Network {
     /// Inference-only forward pass over a batch of rows. Unlike
     /// [`Network::predict`] this takes `&self`: no activation caches
     /// or gradient buffers are touched, so a shared (`Arc`-held)
-    /// network can serve concurrent callers. Row outputs are
-    /// independent of the surrounding batch composition, which is what
-    /// lets the serving micro-batcher coalesce requests without
-    /// changing any caller's bits.
+    /// network can serve concurrent callers. Each output row depends
+    /// only on its own input row, but its rounding can depend on the
+    /// batch size: a Dense layer whose input is wider than
+    /// `gemm::KC` (256) takes the naive GEMM kernel when m·n·k ≤ 64³
+    /// and the packed, KC-blocked kernel above that, and the two sum
+    /// depth in different orders. Rows are bit-identical across batch
+    /// sizes that take the same kernel in every such layer, and across
+    /// all batch sizes when no Dense input is wider than 256. The
+    /// serving micro-batcher relies on this to coalesce requests.
     pub fn predict_batch(&self, rows: &Mat) -> Mat {
         let mut x = rows.clone();
         for layer in &self.layers {
@@ -229,9 +234,9 @@ mod tests {
         let expected = net.predict(&x);
         assert_eq!(net.predict_batch(&x), expected);
 
-        // Row outputs do not depend on the surrounding batch: running
-        // each row alone reproduces the batched bits (the property the
-        // serving micro-batcher relies on).
+        // XOR's Dense inputs are far narrower than gemm::KC, so running
+        // each row alone reproduces the batched bits (see
+        // `predict_batch` for when the batch size can change them).
         for r in 0..x.rows() {
             let one = Mat::from_vec(1, x.cols(), x.row(r).to_vec()).unwrap();
             assert_eq!(net.predict_batch(&one).row(0), expected.row(r));

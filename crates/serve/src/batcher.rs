@@ -1,12 +1,22 @@
 //! Request micro-batching with bounded-queue backpressure.
 //!
 //! Concurrent `/predict` requests land in one bounded queue; worker
-//! threads coalesce them into a single forward pass. Because every
-//! layer computes its output rows independently (see
-//! `Network::predict_batch`), a row's scores are bit-identical
-//! whether it runs alone or packed with strangers — batching is
-//! purely a throughput trade: one matmul over 64 rows amortizes
-//! per-pass overhead that 64 single-row passes each pay in full.
+//! threads coalesce them into a single forward pass. A worker that
+//! finds one job queued runs it at once; only when a second job is
+//! queued does it hold the pass open for stragglers (up to
+//! [`BatchConfig::max_wait`]). Batching is a throughput trade: one
+//! matmul over 64 rows amortizes per-pass overhead that 64 single-row
+//! passes each pay in full.
+//!
+//! A row's scores stay bit-identical across passes only while every
+//! pass it could run in takes the same GEMM kernel (see
+//! `Network::predict_batch`). That holds at any pass size when no
+//! Dense layer's input is wider than `gemm::KC` = 256. A wider layer
+//! rounds a pass small enough for the naive kernel (m·n·k ≤ 64³)
+//! differently from a packed one: for the 308-wide MLP and CNN,
+//! passes of 1–6 rows differ from passes of 7 or more, so an 8-row
+//! request gets the same bits alone or coalesced and a single row
+//! does not.
 //!
 //! The queue is bounded in *rows*, not requests, so a single 256-row
 //! batch request counts like 256 singles. When admission would exceed
@@ -31,7 +41,8 @@ pub struct BatchConfig {
     /// Most rows coalesced into one forward pass.
     pub max_batch: usize,
     /// Longest a queued row waits for company before the batch runs
-    /// anyway.
+    /// anyway. The wait applies only once a second job is queued: a
+    /// worker that finds one job alone runs it at once.
     pub max_wait: Duration,
     /// Admission bound: queued rows beyond this are rejected.
     pub queue_capacity: usize,
@@ -113,7 +124,9 @@ impl Batcher {
 
     /// Queues `rows` for prediction on `handle`'s model version. The
     /// returned channel yields one output row per input row, in
-    /// order, bit-identical to `handle.network.predict_batch`.
+    /// order, as `handle.network.predict_batch` computes them in the
+    /// pass the job is coalesced into; its doc states when the pass
+    /// size can change a row's bits.
     pub fn submit(
         &self,
         handle: Arc<ModelHandle>,
@@ -186,8 +199,11 @@ fn worker_loop(inner: &Inner) {
             if state.queue.is_empty() {
                 return; // drained and closed
             }
-            // Micro-batch window: give stragglers up to `max_wait` to
-            // pile in, unless the pass is already full or we are
+            // Micro-batch window. A lone queued job runs at once: a
+            // wait would only delay it, and jobs that arrive during
+            // its pass still queue and coalesce on the next one. Once
+            // a second job is queued, stragglers get up to `max_wait`
+            // to pile in, unless the pass is already full or we are
             // draining. The window is adaptive: it waits in short
             // slices and exits as soon as a slice passes with no new
             // rows — paying the full `max_wait` on every pass would
@@ -196,7 +212,10 @@ fn worker_loop(inner: &Inner) {
             // already queued.
             let deadline = Instant::now() + inner.config.max_wait;
             let slice = (inner.config.max_wait / 8).max(Duration::from_micros(50));
-            while state.open && state.queued_rows < inner.config.max_batch {
+            while state.open
+                && state.queue.len() > 1
+                && state.queued_rows < inner.config.max_batch
+            {
                 let now = Instant::now();
                 if now >= deadline {
                     break;
@@ -347,6 +366,21 @@ mod tests {
     }
 
     #[test]
+    fn lone_job_runs_without_waiting_for_company() {
+        let batcher = Batcher::start(
+            BatchConfig { max_wait: Duration::from_secs(2), workers: 1, ..Default::default() },
+            Arc::new(Metrics::default()),
+        )
+        .unwrap();
+        let started = Instant::now();
+        let rx = batcher.submit(handle(1), vec![row(0)]).unwrap();
+        assert_eq!(rx.recv().unwrap().len(), 1);
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_millis(100), "a lone job waited {waited:?}");
+        batcher.drain();
+    }
+
+    #[test]
     fn overload_is_rejected_not_queued() {
         let h = handle(1);
         let batcher = Batcher::start(
@@ -359,8 +393,9 @@ mod tests {
             Arc::new(Metrics::default()),
         )
         .unwrap();
-        // One slow batch occupies the worker inside its wait window
-        // while we fill the queue behind it.
+        // Sheds only when the submits outrun the worker: a job found
+        // alone runs at once, and once two jobs are queued the 200 ms
+        // window holds them while the queue fills behind them.
         let first = batcher.submit(Arc::clone(&h), vec![row(0), row(1)]).unwrap();
         let mut accepted = vec![first];
         let mut rejected = 0;

@@ -106,6 +106,14 @@ impl ConnBufs {
     }
 }
 
+#[cfg(test)]
+impl ConnBufs {
+    /// Buffers holding `body` as the last request's body.
+    pub(crate) fn with_body(body: &[u8]) -> ConnBufs {
+        ConnBufs { body: body.to_vec(), ..ConnBufs::default() }
+    }
+}
+
 /// Stores a header into the reusable slots, recycling the `String`
 /// allocations left over from previous requests on this connection.
 fn push_header(

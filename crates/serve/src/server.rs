@@ -1059,6 +1059,142 @@ fn parse_rows(body: &Value) -> Result<(Vec<Vec<f64>>, bool), &'static str> {
     }
 }
 
+/// `(model, rows, is_batch)` as read from a predict body.
+type PredictBody<'a> = (Option<&'a str>, Vec<Vec<f64>>, bool);
+
+/// Reads the predict bodies clients send straight into
+/// `(model, rows, is_batch)`, without building a `Value` tree: one
+/// object with either `"rows"` (non-empty arrays of numbers) or
+/// `"features"` (one such array), and an optional `"model"` string, in
+/// any key order and with any JSON whitespace. Every other body —
+/// escapes, non-ASCII bytes, a non-string `model`, unknown or repeated
+/// keys, both row keys, empty or nested arrays, trailing bytes —
+/// returns `None`, and the caller parses it with `ConnBufs::json` and
+/// [`parse_rows`] instead, so errors keep their status and text.
+fn scan_predict(body: &[u8]) -> Option<PredictBody<'_>> {
+    let mut scan = Scan { text: std::str::from_utf8(body).ok()?, pos: 0 };
+    scan.eat(b'{')?;
+    let mut model = None;
+    let mut rows = None;
+    loop {
+        let key = scan.string()?;
+        scan.eat(b':')?;
+        match key {
+            "model" if model.is_none() => model = Some(scan.string()?),
+            "rows" if rows.is_none() => rows = Some((scan.array(Scan::row)?, true)),
+            "features" if rows.is_none() => rows = Some((vec![scan.row()?], false)),
+            _ => return None,
+        }
+        match scan.byte()? {
+            b',' => {}
+            b'}' => break,
+            _ => return None,
+        }
+    }
+    scan.skip_ws();
+    let (rows, is_batch) = rows?;
+    (scan.pos == scan.text.len()).then_some((model, rows, is_batch))
+}
+
+/// Cursor over a predict body for [`scan_predict`].
+struct Scan<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn skip_ws(&mut self) {
+        while matches!(self.text.as_bytes().get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// The next byte after any whitespace.
+    fn byte(&mut self) -> Option<u8> {
+        self.skip_ws();
+        let b = *self.text.as_bytes().get(self.pos)?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    /// Consumes `want` after any whitespace.
+    fn eat(&mut self, want: u8) -> Option<()> {
+        (self.byte()? == want).then_some(())
+    }
+
+    /// A string of ASCII bytes without escapes.
+    fn string(&mut self) -> Option<&'a str> {
+        self.eat(b'"')?;
+        let rest = self.text.get(self.pos..)?;
+        let len = rest.bytes().position(|b| b == b'"' || b == b'\\' || !b.is_ascii())?;
+        if rest.as_bytes().get(len) != Some(&b'"') {
+            return None;
+        }
+        self.pos += len + 1;
+        rest.get(..len)
+    }
+
+    /// A non-empty array whose items `item` reads.
+    fn array<T>(&mut self, item: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        loop {
+            // nd-lint: allow(unbounded-growth) — each item consumes body bytes, and bodies are capped at `max_body_bytes`
+            items.push(item(self)?);
+            match self.byte()? {
+                b',' => {}
+                b']' => return Some(items),
+                _ => return None,
+            }
+        }
+    }
+
+    fn row(&mut self) -> Option<Vec<f64>> {
+        self.array(Scan::number)
+    }
+
+    /// One number, tokenized and converted exactly as the vendored
+    /// `serde_json` parser does it: the greedy token `-?[0-9.eE+-]*`;
+    /// without `.`, `e`, `E`, `+` or an inner `-` it tries `u64`, then
+    /// `i64`, before `f64`. The order shows in the bits: `-0` parses
+    /// as the integer 0 and becomes `+0.0`, not `-0.0`.
+    fn number(&mut self) -> Option<f64> {
+        self.skip_ws();
+        let rest = self.text.get(self.pos..)?;
+        let sign = usize::from(rest.starts_with('-'));
+        let tail = rest.as_bytes().get(sign..)?;
+        if sign == 0 && !tail.first()?.is_ascii_digit() {
+            return None;
+        }
+        let len = tail
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(tail.len());
+        let integer = tail.get(..len)?.iter().all(u8::is_ascii_digit);
+        let token = rest.get(..sign + len)?;
+        self.pos += sign + len;
+        if integer {
+            if let Ok(n) = token.parse::<u64>() {
+                return Some(n as f64);
+            }
+            if let Ok(n) = token.parse::<i64>() {
+                return Some(n as f64);
+            }
+        }
+        token.parse::<f64>().ok()
+    }
+}
+
+/// The handle serving `name`, or the only model when no name is given.
+fn lookup_model(shared: &Shared, name: Option<&str>) -> Result<Arc<ModelHandle>, RequestError> {
+    match name {
+        Some(name) => {
+            shared.registry.get(name).ok_or_else(|| RequestError::UnknownModel(name.to_string()))
+        }
+        None => shared.registry.single().ok_or(RequestError::ModelRequired),
+    }
+}
+
 fn handle_predict(shared: &Arc<Shared>, request: &ConnBufs) -> Response {
     predict_inner(shared, request).unwrap_or_else(RequestError::response)
 }
@@ -1069,18 +1205,18 @@ fn predict_inner(
 ) -> Result<Response, RequestError> {
     let started = Instant::now();
 
-    let body = request
-        .json()
-        .map_err(|e| RequestError::BadRequest(format!("invalid JSON: {e}")))?;
-    let handle: Arc<ModelHandle> = match body["model"].as_str() {
-        Some(name) => shared
-            .registry
-            .get(name)
-            .ok_or_else(|| RequestError::UnknownModel(name.to_string()))?,
-        None => shared.registry.single().ok_or(RequestError::ModelRequired)?,
+    let (handle, rows, is_batch) = match scan_predict(request.body()) {
+        Some((model, rows, is_batch)) => (lookup_model(shared, model)?, rows, is_batch),
+        None => {
+            let body = request
+                .json()
+                .map_err(|e| RequestError::BadRequest(format!("invalid JSON: {e}")))?;
+            let handle = lookup_model(shared, body["model"].as_str())?;
+            let (rows, is_batch) =
+                parse_rows(&body).map_err(|msg| RequestError::BadRequest(msg.into()))?;
+            (handle, rows, is_batch)
+        }
     };
-    let (rows, is_batch) =
-        parse_rows(&body).map_err(|msg| RequestError::BadRequest(msg.into()))?;
     if let Some(bad) = rows.iter().find(|r| r.len() != handle.input_dim) {
         return Err(RequestError::BadRequest(format!(
             "feature vector has {} values, model {} expects {}",
@@ -1088,6 +1224,11 @@ fn predict_inner(
             handle.name,
             handle.input_dim
         )));
+    }
+    // `1e999` parses to infinity; a non-finite input would come back
+    // as non-finite scores, which serialize as 0.0.
+    if rows.iter().flatten().any(|x| !x.is_finite()) {
+        return Err(RequestError::BadRequest("feature values must be finite".into()));
     }
 
     // Route to the model's shard: its cache, its batcher, its queue.
@@ -1126,6 +1267,15 @@ fn predict_inner(
                 SubmitError::ShuttingDown => RequestError::ShuttingDown,
             })?;
         let outputs = receiver.recv().map_err(|_| RequestError::WorkerFailed)?;
+        // Finite features can still overflow inside the forward pass
+        // (±5e307 in alternate columns of a 308-wide MLP gives NaN);
+        // a non-finite score would serialize as 0.0, so it is refused
+        // before it reaches the cache.
+        if outputs.iter().flatten().any(|x| !x.is_finite()) {
+            return Err(RequestError::BadRequest(
+                "feature values overflow the model's scores".into(),
+            ));
+        }
         let mut cache = shard.cache.lock().unwrap_or_else(PoisonError::into_inner);
         for (&i, output) in miss_indices.iter().zip(outputs) {
             cache.insert(&handle.name, handle.version, &rows[i], output.clone());
@@ -1176,6 +1326,7 @@ mod tests {
     use nd_core::predict::build_mlp;
     use nd_linalg::Mat;
     use nd_store::Database;
+    use std::io::{Read, Write};
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1289,8 +1440,181 @@ mod tests {
         let missing = client.get("/nope").unwrap();
         assert_eq!(missing.status, 404);
 
+        // `1e999` parses to infinity. `post_json` takes a `Value`,
+        // which cannot carry the literal, so these bodies go out raw:
+        // the first through the scanner, the second (an escaped model
+        // name) through the `Value` path.
+        for body in [
+            r#"{"model":"likes","features":[1e999,0.5,0.25,0.3,0.1,0.2]}"#,
+            r#"{"model":"lik\u0065s","rows":[[0.5,0.25,0.3,0.1,0.2,-1e999]]}"#,
+        ] {
+            let raw = post_raw(&server, body);
+            assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+            assert!(raw.ends_with(r#"{"error":"feature values must be finite"}"#), "{raw}");
+        }
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+
+        // Finite features can still overflow inside the forward pass:
+        // ±5e307 in alternate columns of a 308-wide row sums past
+        // f64::MAX, and the scores come out NaN.
+        let dir = tmpdir("validate-wide");
+        let server = boot(&dir, 308);
+        let row: Vec<f64> = (0..308).map(|j| if j % 2 == 0 { 5e307 } else { -5e307 }).collect();
+        let offline = build_mlp(308, 11).predict_batch(&Mat::from_rows(&[row]).unwrap());
+        assert!(offline.row(0).iter().all(|x| x.is_nan()), "{:?}", offline.row(0));
+        let features = ["5e307", "-5e307"].repeat(154).join(",");
+        let body = format!(r#"{{"features":[{features}]}}"#);
+        let raw = post_raw(&server, &body);
+        assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+        assert!(raw.ends_with(r#"{"error":"feature values overflow the model's scores"}"#));
+        // The refused scores never reached the cache.
+        assert!(post_raw(&server, &body).starts_with("HTTP/1.1 400 "));
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Sends `body` to `/predict` as raw bytes on a fresh connection
+    /// and returns the raw response.
+    fn post_raw(server: &Server, body: &str) -> String {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let head = format!("Content-Length: {}\r\nConnection: close", body.len());
+        write!(stream, "POST /predict HTTP/1.1\r\n{head}\r\n\r\n{body}").unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        raw
+    }
+
+    fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect()
+    }
+
+    /// `(model, is_batch, row bits)` as the `Value` path reads `body`:
+    /// `ConnBufs::json`, the `model` field and [`parse_rows`]; `None`
+    /// where that path rejects it.
+    fn value_path(body: &[u8]) -> Option<(Option<String>, bool, Vec<Vec<u64>>)> {
+        let value = ConnBufs::with_body(body).json().ok()?;
+        let (rows, is_batch) = parse_rows(&value).ok()?;
+        Some((value["model"].as_str().map(String::from), is_batch, bits(&rows)))
+    }
+
+    /// Whether the scanner accepts `body`, after checking that an
+    /// accepted body reads exactly as on the `Value` path.
+    fn scanned_alike(body: &[u8]) -> bool {
+        let Some((model, rows, is_batch)) = scan_predict(body) else { return false };
+        let text = String::from_utf8_lossy(body);
+        let reference = value_path(body)
+            .unwrap_or_else(|| panic!("scanner accepted a body the Value path rejects: {text}"));
+        let got = (model.map(String::from), is_batch, bits(&rows));
+        assert_eq!(got, reference, "{text}");
+        true
+    }
+
+    #[test]
+    fn scanner_matches_the_value_path() {
+        let accepts = |body: &str| assert!(scanned_alike(body.as_bytes()), "declined {body}");
+        let declines = |body: &[u8]| {
+            assert!(!scanned_alike(body), "accepted {}", String::from_utf8_lossy(body));
+        };
+        // Number tokens: `-0` is the integer 0 (+0.0, where a plain
+        // `parse::<f64>()` gives -0.0); integers past i64/u64 fall
+        // through to f64; `1e999` is infinity; `01` is 1.
+        for n in [
+            "-0", "1", "-9223372036854775809", "18446744073709551616", "1e999", "1E-400",
+            "0.1e+2", "01", "-0.0", "9007199254740993", "0.30000000000000004", "-.5", "2.",
+        ] {
+            accepts(&format!(r#"{{"model":"m1","features":[{n}]}}"#));
+        }
+        for n in ["1-2", "-", "+1", ".5", "1e", "--1", "1.2.3", "0x1", "NaN", "1 2", "\"1\""] {
+            let body = format!(r#"{{"model":"m1","features":[{n}]}}"#);
+            assert!(value_path(body.as_bytes()).is_none(), "{body}");
+            declines(body.as_bytes());
+        }
+        // Shapes: any whitespace, any key order, ragged rows (the width
+        // check rejects those later, on both paths).
+        accepts(" \t{\n\"model\" :\r\"m1\" , \"rows\" : [ [ 1 , 2 ] ,\n[ 3 , 4 ] ] }\r\n ");
+        accepts(r#"{"rows":[[1,2]],"model":"m1"}"#);
+        accepts(r#"{"features":[1,2],"model":""}"#);
+        accepts(r#"{"features":[1]}"#);
+        accepts(" { \"rows\" : [[1]] } ");
+        accepts(r#"{"model":"m1","rows":[[1,2],[3]]}"#);
+        let declined: &[&[u8]] = &[
+            br#"{"model":"m1","rows":[[1]],"features":[1]}"#,
+            br#"{"model":"m1","model":"m2","features":[1]}"#,
+            br#"{"model":"m1","rows":[[1]],"rows":[[2]]}"#,
+            br#"{"model":"m1","features":[1],"extra":0}"#,
+            br#"{"model":null,"features":[1]}"#,
+            br#"{"model":7,"features":[1]}"#,
+            br#"{"model":"m1"}"#,
+            br#"{"model":"m\u0031","features":[1]}"#,
+            br#"{"model":"m\"1","features":[1]}"#,
+            br#"{"m\u006fdel":"m1","features":[1]}"#,
+            "{\"model\":\"m\u{e9}\",\"features\":[1]}".as_bytes(),
+            br#"{"model":"m1","rows":[]}"#,
+            br#"{"model":"m1","rows":[[]]}"#,
+            br#"{"model":"m1","features":[]}"#,
+            br#"{"model":"m1","rows":[1]}"#,
+            br#"{"model":"m1","features":[[1]]}"#,
+            br#"{"model":"m1","rows":[[1,[2]]]}"#,
+            br#"{"model":"m1","features":[1]}x"#,
+            br#"{"model":"m1","features":[1]}{}"#,
+            b"{\"model\":\"m\xff\",\"features\":[1]}",
+            b"{\"model\":\"m1\",\"features\":[1]}\xc3",
+            br#"[{"model":"m1","features":[1]}]"#,
+            b"",
+        ];
+        for &body in declined {
+            declines(body);
+        }
+
+        // Every truncation of a valid body.
+        let base = br#"{"model":"m7","rows":[[-0,1.5e3,-2E-2],[0.25,-7,12]]}"#;
+        assert!(scanned_alike(base));
+        for end in 0..base.len() {
+            declines(&base[..end]);
+        }
+
+        // Single-byte replacements, insertions and deletions drawn from
+        // JSON-significant bytes; many mutants stay valid, and each one
+        // must read alike or be declined.
+        let significant = b"{}[],:\"\\ \t\n\r-+.eE0123456789mrowfeatunl\x00\x80\xc3\xff";
+        let mut rng = crate::loadgen::Rng::new(17);
+        let mut accepted = 0;
+        for _ in 0..12_000 {
+            let mut body = base.to_vec();
+            let at = rng.below(body.len() + 1);
+            let byte = significant[rng.below(significant.len())];
+            match (rng.below(3), at < body.len()) {
+                (0, true) => body[at] = byte,
+                (1, true) => {
+                    body.remove(at);
+                }
+                _ => body.insert(at, byte),
+            }
+            accepted += usize::from(scanned_alike(&body));
+        }
+        assert!(accepted > 1_000, "only {accepted} mutants were read");
+
+        // Random rows in Display, exponent and integer spellings.
+        for _ in 0..200 {
+            let mut rows = Vec::new();
+            for _ in 0..1 + rng.below(4) {
+                let row: Vec<String> = (0..1 + rng.below(8))
+                    .map(|_| {
+                        let x = (rng.next_f64() - 0.5) * 10f64.powi(rng.below(40) as i32 - 20);
+                        match rng.below(5) {
+                            0 => format!("{x}"),
+                            1 => format!("{x:e}"),
+                            2 => format!("{x:E}"),
+                            3 => format!("{}", rng.next_u64()),
+                            _ => format!("-{}", rng.next_u64() >> rng.below(64)),
+                        }
+                    })
+                    .collect();
+                rows.push(format!("[{}]", row.join(",")));
+            }
+            accepts(&format!(r#"{{"model":"m1","rows":[{}]}}"#, rows.join(",")));
+        }
     }
 
     #[test]
