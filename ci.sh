@@ -18,12 +18,35 @@ echo "==> benchmark build (perfbench/ against the workspace; --locked rejects lo
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> benchmark answers (quick traced predict_closed: served answers, batcher and parse probes vs the workspace)"
-# ~10 s. predict_open and freshness stay out: their open-loop lateness
-# rule can flip `correct` on a loaded host.
+# ~10 s. predict_open stays out: its open-loop lateness rule can flip
+# `correct` on a loaded host.
 quick=$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
     --workload predict_closed --seed 1 --seconds 1 --trace 1 --quick | tail -n 1)
 if [[ $quick != *'"correct":true'* || $quick != *'"failed":0'* ]]; then
     echo "perfbench predict_closed quick run is not correct with 0 failed: $quick"
+    exit 1
+fi
+
+echo "==> benchmark answers (quick traced freshness: cached heads vs cold runs, refolded artifacts vs cached bytes)"
+# ~10 s. Each cycle's cached head is checked against a cold, uncached
+# run, and each refolded artifact byte for byte against the cached one,
+# so this covers the fold kernels. A WRONG line or a failed operation
+# fails the step; INVALID lines come from the open-loop lateness rule,
+# which a loaded host can trip, so they only print.
+fresh_err=$(mktemp)
+if ! fresh=$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload freshness --seed 1 --seconds 1 --trace 1 --quick 2>"$fresh_err" | tail -n 1); then
+    tail -n 20 "$fresh_err"
+    echo "perfbench freshness quick run exited nonzero"
+    exit 1
+fi
+wrong=$(grep -F 'perfbench: WRONG:' "$fresh_err" || true)
+grep -F 'perfbench: INVALID:' "$fresh_err" || true
+rm -f "$fresh_err"
+if [[ -n $wrong || $fresh != *'"failed":0'* ]]; then
+    echo "perfbench freshness quick run has wrong answers or failed operations:"
+    [[ -z $wrong ]] || echo "$wrong"
+    echo "$fresh"
     exit 1
 fi
 

@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the pipeline's hot kernels:
-//! TF-IDF construction, one NMF iteration cycle, MABED detection,
-//! Word2Vec training steps and embedding cosine scans — plus
-//! serial-vs-parallel scaling groups for every kernel routed through
-//! `nd-par` (`NEWSDIFF_THREADS` is re-read per product, so each group
-//! member pins its own thread count).
+//! TF-IDF construction, one NMF iteration cycle, MABED corpus slicing
+//! and detection, NewsTM preprocessing, Word2Vec training steps and
+//! embedding cosine scans — plus serial-vs-parallel scaling groups for
+//! every kernel routed through `nd-par` (`NEWSDIFF_THREADS` is re-read
+//! per product, so each group member pins its own thread count).
 //!
 //! Set `ND_BENCH_JSON=BENCH_kernels.json` to append the measurements
 //! as JSON when the run finishes.
@@ -16,6 +16,8 @@ use nd_linalg::rng::SplitMix64;
 use nd_linalg::vecops::cosine;
 use nd_linalg::Mat;
 use nd_neural::{Conv1d, Dense, Layer, Trainer, TrainerConfig};
+use nd_synth::{World, WorldConfig};
+use nd_text::preprocess_topic_modeling;
 use nd_topics::{Nmf, NmfConfig};
 use nd_vectorize::{DtmBuilder, Weighting};
 use std::hint::black_box;
@@ -61,16 +63,28 @@ fn bench_nmf(c: &mut Criterion) {
     });
 }
 
-fn bench_mabed(c: &mut Criterion) {
+/// The MABED benches' corpus: 5000 minute-spaced docs of 12 tokens
+/// over a 400-word vocabulary, half of them mentioning.
+fn mabed_docs() -> Vec<TimestampedDoc> {
     let mut rng = SplitMix64::new(4);
-    let docs: Vec<TimestampedDoc> = (0..5_000)
+    (0..5_000)
         .map(|i| {
             let tokens =
                 (0..12).map(|_| format!("w{}", rng.next_usize(400))).collect::<Vec<_>>();
             TimestampedDoc::new(i as u64 * 60, tokens, usize::from(rng.next_bool(0.5)))
         })
-        .collect();
-    let sliced = SlicedCorpus::build(&docs, 1_800);
+        .collect()
+}
+
+fn bench_sliced_corpus(c: &mut Criterion) {
+    let docs = mabed_docs();
+    c.bench_function("sliced_corpus_build_5000docs", |b| {
+        b.iter(|| black_box(SlicedCorpus::build(black_box(&docs), 1_800)))
+    });
+}
+
+fn bench_mabed(c: &mut Criterion) {
+    let sliced = SlicedCorpus::build(&mabed_docs(), 1_800);
     c.bench_function("mabed_detect_5000docs", |b| {
         b.iter(|| {
             let mabed = Mabed::new(MabedConfig {
@@ -80,6 +94,22 @@ fn bench_mabed(c: &mut Criterion) {
                 ..Default::default()
             });
             black_box(mabed.detect(black_box(&sliced)))
+        })
+    });
+}
+
+/// The NewsTM pipeline (entities, lemmas, stopword removal) over the
+/// first 200 articles of the small synthetic world, as the preprocess
+/// stage joins title and body.
+fn bench_news_tm(c: &mut Criterion) {
+    let world = World::generate(WorldConfig::small());
+    let texts: Vec<String> =
+        world.articles.iter().take(200).map(|a| format!("{}. {}", a.title, a.content)).collect();
+    c.bench_function("preprocess_news_tm_200articles", |b| {
+        b.iter(|| {
+            for text in &texts {
+                black_box(preprocess_topic_modeling(black_box(text)));
+            }
         })
     });
 }
@@ -326,7 +356,8 @@ fn bench_layers_scaling(c: &mut Criterion) {
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_tfidf, bench_nmf, bench_mabed, bench_word2vec, bench_cosine,
+    targets = bench_tfidf, bench_nmf, bench_sliced_corpus, bench_mabed, bench_news_tm,
+        bench_word2vec, bench_cosine,
         bench_matmul_scaling, bench_matmul_1024_scaling, bench_gemm_scaling,
         bench_lsa_scaling, bench_csr_scaling, bench_nmf_scaling,
         bench_word2vec_scaling, bench_layers_scaling, bench_cnn_epoch_scaling

@@ -48,7 +48,10 @@
 
 use crate::cache::{artifact_id, fingerprint, ms_since, ArtifactCache, CacheConfig, RunReport};
 use crate::error::{CoreError, Result};
-use crate::event_module::{decode_events, encode_events, DetectedEvents, EventModuleConfig};
+use crate::event_module::{
+    decode_events, detect_news_events, detect_twitter_events, encode_events, DetectedEvents,
+    EventModuleConfig,
+};
 use crate::preprocess::{
     build_news_ed, build_news_tm, build_twitter_ed, decode_corpora, decode_timestamped,
     encode_corpora, encode_timestamped, Corpora,
@@ -56,7 +59,7 @@ use crate::preprocess::{
 use crate::stage::debug_fingerprint;
 use crate::topic_module::{decode_topics, encode_topics, NewsTopics, TopicModuleConfig};
 use nd_embed::{Word2Vec, Word2VecConfig, WordVectors};
-use nd_events::{AnomalySource, Mabed, MabedConfig, SlidingWindow};
+use nd_events::SlidingWindow;
 use nd_store::{
     chain_fingerprint, fnv1a64, ArtifactError, ArtifactStore, ByteReader, ByteWriter,
 };
@@ -695,36 +698,10 @@ impl FoldStage for StreamEventStage {
             .push_slice(corpora.twitter_ed[seen_twitter..].iter().cloned(), slice.end);
 
         // Unlike the batch stage, a quiet window is not an error —
-        // detection simply yields nothing until a burst enters.
-        let news = if ev.news_window.docs().is_empty() {
-            Vec::new()
-        } else {
-            Mabed::new(MabedConfig {
-                n_events: config.event.n_news_events,
-                max_related: config.event.max_related,
-                theta: config.event.theta,
-                min_word_docs: config.event.min_word_docs,
-                source: AnomalySource::Presence,
-                ..Default::default()
-            })
-            .detect(&ev.news_window.to_sliced(config.event.news_slice_secs))
-        };
-        let twitter = if ev.twitter_window.docs().is_empty() {
-            Vec::new()
-        } else {
-            Mabed::new(MabedConfig {
-                n_events: config.event.n_twitter_events,
-                max_related: config.event.max_related,
-                theta: config.event.theta,
-                min_word_docs: config.event.min_word_docs,
-                source: AnomalySource::Mentions,
-                ..Default::default()
-            })
-            .detect(&ev.twitter_window.to_sliced(config.event.twitter_slice_secs))
-            .into_iter()
-            .filter(|e| e.n_docs >= 10)
-            .collect()
-        };
+        // detection over an empty window simply yields nothing until a
+        // burst enters.
+        let news = detect_news_events(ev.news_window.docs(), &config.event);
+        let twitter = detect_twitter_events(ev.twitter_window.docs(), &config.event);
         ev.events = DetectedEvents { news, twitter };
         Ok(StreamArtifact::Events(ev))
     }

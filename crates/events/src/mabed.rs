@@ -25,7 +25,6 @@
 use crate::event::Event;
 use crate::timeslice::SlicedCorpus;
 use nd_linalg::stats::erdem_weight;
-use std::collections::BTreeMap;
 
 /// Which engagement signal drives the anomaly measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +88,10 @@ pub struct Mabed {
     config: MabedConfig,
 }
 
-/// A candidate main word with its best burst interval.
+/// A candidate main word (by corpus word id) with its best burst
+/// interval.
 struct Candidate {
-    word: String,
+    word: u32,
     magnitude: f64,
     from: usize,
     to: usize,
@@ -132,7 +132,7 @@ impl Mabed {
         let max_docs = (self.config.max_word_doc_ratio * n_docs).ceil() as u64;
         let mut candidates = Vec::new();
 
-        for (word, stats) in corpus.iter_words() {
+        for (id, (word, stats)) in corpus.iter_words().enumerate() {
             if stats.total_presence < self.config.min_word_docs
                 || stats.total_presence > max_docs
             {
@@ -162,8 +162,9 @@ impl Mabed {
             if magnitude <= 0.0 {
                 continue;
             }
-            candidates.push(Candidate { word: word.to_string(), magnitude, from, to });
+            candidates.push(Candidate { word: id as u32, magnitude, from, to });
         }
+        // Ids are lexicographic ranks: the tie-break is word order.
         candidates.sort_by(|a, b| {
             b.magnitude
                 .partial_cmp(&a.magnitude)
@@ -176,25 +177,24 @@ impl Mabed {
     /// Selects the related words of a candidate event by the Eq. (9)
     /// co-movement weight over the event interval.
     fn build_event(&self, corpus: &SlicedCorpus, cand: &Candidate) -> Event {
-        let main_stats = corpus.word(&cand.word).expect("candidate word exists");
-        let main_series: Vec<f64> =
-            main_stats.presence[cand.from..=cand.to].iter().map(|&v| v as f64).collect();
+        let series = |id: u32| -> Vec<f64> {
+            corpus.word_stats(id).presence[cand.from..=cand.to].iter().map(|&v| v as f64).collect()
+        };
+        let main_series = series(cand.word);
 
         // Candidate related words: co-occurring with the main word in
-        // documents inside the interval.
-        // BTreeMap: the weighting loop below iterates this, and ties
-        // at the `max_related` cut must break identically every run.
-        let mut cooc: BTreeMap<&str, u32> = BTreeMap::new();
+        // documents inside the interval, counted by word id.
+        let mut cooc = vec![0u32; corpus.n_words()];
         let mut n_docs_with_main = 0usize;
         for doc_id in corpus.docs_in_slices(cand.from, cand.to) {
-            let toks = corpus.doc_tokens(doc_id);
-            if !toks.contains(&cand.word) {
+            let ids = corpus.doc_word_ids(doc_id);
+            if ids.binary_search(&cand.word).is_err() {
                 continue;
             }
             n_docs_with_main += 1;
-            for t in toks {
-                if *t != cand.word {
-                    *cooc.entry(t.as_str()).or_insert(0) += 1;
+            for &id in ids {
+                if id != cand.word {
+                    cooc[id as usize] += 1;
                 }
             }
         }
@@ -203,19 +203,17 @@ impl Mabed {
         // the main word's documents to avoid one-off noise.
         let min_cooc = (n_docs_with_main as f64 * 0.1).ceil().max(1.0) as u32;
         let mut related: Vec<(String, f64)> = Vec::new();
-        for (word, count) in cooc {
+        for (id, &count) in cooc.iter().enumerate() {
             if count < min_cooc {
                 continue;
             }
+            let word = corpus.word_text(id as u32);
             if self.config.filter_stopwords
                 && (nd_text::is_stopword(word) || word.chars().all(|c| c.is_ascii_digit()))
             {
                 continue;
             }
-            let Some(stats) = corpus.word(word) else { continue };
-            let series: Vec<f64> =
-                stats.presence[cand.from..=cand.to].iter().map(|&v| v as f64).collect();
-            let w = erdem_weight(&main_series, &series);
+            let w = erdem_weight(&main_series, &series(id as u32));
             if w >= self.config.theta {
                 related.push((word.to_string(), w));
             }
@@ -226,7 +224,7 @@ impl Mabed {
         related.truncate(self.config.max_related);
 
         Event {
-            main_word: cand.word.clone(),
+            main_word: corpus.word_text(cand.word).to_string(),
             related,
             start: corpus.slice_start(cand.from),
             end: corpus.slice_end(cand.to),

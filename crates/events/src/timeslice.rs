@@ -3,7 +3,7 @@
 //! MABED operates on per-slice word statistics: the paper uses 60-min
 //! slices for news and 30-min slices for tweets (§5.3–5.4).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// A preprocessed document with its publication timestamp.
 #[derive(Debug, Clone)]
@@ -33,6 +33,10 @@ impl AsRef<[String]> for TimestampedDoc {
 }
 
 /// Per-word, per-slice statistics for one corpus.
+///
+/// Words are interned: a word's id is its rank in lexicographic order,
+/// so ascending id order is word order, and every per-word table is a
+/// `Vec` indexed by id.
 #[derive(Debug, Clone)]
 pub struct SlicedCorpus {
     /// Slice width in seconds.
@@ -45,19 +49,20 @@ pub struct SlicedCorpus {
     pub n_docs: usize,
     /// Documents per slice.
     pub docs_per_slice: Vec<u32>,
-    /// For each word: per-slice count of documents containing it
+    /// Distinct words, sorted; index = word id. Downstream event
+    /// ranking iterates words in this order and must be bit-stable run
+    /// to run.
+    words: Vec<String>,
+    /// For each word id: per-slice count of documents containing it
     /// (`N_t^i` in the paper), plus the same restricted to documents
-    /// with ≥1 mention (`M_t^i`), plus totals. A `BTreeMap` so
-    /// [`SlicedCorpus::iter_words`] yields a deterministic
-    /// (lexicographic) order — downstream event ranking iterates this
-    /// and must be bit-stable run to run.
-    words: BTreeMap<String, WordStats>,
+    /// with ≥1 mention (`M_t^i`), plus totals.
+    stats: Vec<WordStats>,
     /// Document index per slice (indices into the input corpus), used
     /// to gather event keyword candidates.
     slice_docs: Vec<Vec<u32>>,
-    /// Tokens of every document (deduplicated per doc), retained for
-    /// co-occurrence lookups.
-    doc_tokens: Vec<Vec<String>>,
+    /// Word ids of every document, sorted and deduplicated, retained
+    /// for co-occurrence lookups.
+    doc_words: Vec<Vec<u32>>,
 }
 
 /// Per-word statistics.
@@ -90,37 +95,66 @@ impl SlicedCorpus {
                 n_slices: 0,
                 n_docs: 0,
                 docs_per_slice: Vec::new(),
-                words: BTreeMap::new(),
+                words: Vec::new(),
+                stats: Vec::new(),
                 slice_docs: Vec::new(),
-                doc_tokens: Vec::new(),
+                doc_words: Vec::new(),
             };
         }
         let origin = docs.iter().map(|d| d.timestamp).min().expect("non-empty");
         let max_ts = docs.iter().map(|d| d.timestamp).max().expect("non-empty");
         let n_slices = ((max_ts - origin) / slice_secs + 1) as usize;
 
-        let mut docs_per_slice = vec![0u32; n_slices];
-        let mut words: BTreeMap<String, WordStats> = BTreeMap::new();
-        let mut slice_docs: Vec<Vec<u32>> = vec![Vec::new(); n_slices];
-        let mut doc_tokens: Vec<Vec<String>> = Vec::with_capacity(docs.len());
+        // Intern every token under a first-seen id (the map is only
+        // probed, never iterated), then renumber by lexicographic rank.
+        let mut first_seen: HashMap<&str, u32> = HashMap::new();
+        let mut distinct: Vec<&str> = Vec::new();
+        let mut doc_words: Vec<Vec<u32>> = Vec::with_capacity(docs.len());
+        for doc in docs {
+            let mut ids = Vec::with_capacity(doc.tokens.len());
+            for tok in &doc.tokens {
+                let id = *first_seen.entry(tok.as_str()).or_insert_with(|| {
+                    distinct.push(tok);
+                    (distinct.len() - 1) as u32
+                });
+                ids.push(id);
+            }
+            doc_words.push(ids);
+        }
+        let mut by_word: Vec<u32> = (0..distinct.len() as u32).collect();
+        by_word.sort_unstable_by_key(|&id| distinct[id as usize]);
+        let mut rank = vec![0u32; distinct.len()];
+        for (r, &id) in by_word.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let words: Vec<String> =
+            by_word.iter().map(|&id| distinct[id as usize].to_string()).collect();
 
-        for (doc_id, doc) in docs.iter().enumerate() {
+        let mut docs_per_slice = vec![0u32; n_slices];
+        let mut stats = vec![
+            WordStats {
+                presence: vec![0; n_slices],
+                mention: vec![0; n_slices],
+                total_presence: 0,
+                total_mention: 0,
+            };
+            words.len()
+        ];
+        let mut slice_docs: Vec<Vec<u32>> = vec![Vec::new(); n_slices];
+        for (doc_id, (doc, ids)) in docs.iter().zip(&mut doc_words).enumerate() {
             let slice = ((doc.timestamp - origin) / slice_secs) as usize;
             docs_per_slice[slice] += 1;
             slice_docs[slice].push(doc_id as u32);
             let has_mention = doc.mentions > 0;
 
-            // Unique tokens per document.
-            let mut uniq: Vec<String> = doc.tokens.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            for tok in &uniq {
-                let stats = words.entry(tok.clone()).or_insert_with(|| WordStats {
-                    presence: vec![0; n_slices],
-                    mention: vec![0; n_slices],
-                    total_presence: 0,
-                    total_mention: 0,
-                });
+            // Unique words per document.
+            for id in ids.iter_mut() {
+                *id = rank[*id as usize];
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            for &id in ids.iter() {
+                let stats = &mut stats[id as usize];
                 stats.presence[slice] += 1;
                 stats.total_presence += 1;
                 if has_mention {
@@ -128,7 +162,6 @@ impl SlicedCorpus {
                     stats.total_mention += 1;
                 }
             }
-            doc_tokens.push(uniq);
         }
 
         SlicedCorpus {
@@ -138,25 +171,37 @@ impl SlicedCorpus {
             n_docs: docs.len(),
             docs_per_slice,
             words,
+            stats,
             slice_docs,
-            doc_tokens,
+            doc_words,
         }
     }
 
     /// Statistics for `word`, if it occurs in the corpus.
     pub fn word(&self, word: &str) -> Option<&WordStats> {
-        self.words.get(word)
+        self.words.binary_search_by(|w| w.as_str().cmp(word)).ok().map(|id| &self.stats[id])
     }
 
     /// Iterator over `(word, stats)` pairs in lexicographic word
-    /// order (deterministic across runs and platforms).
+    /// order (deterministic across runs and platforms), which is also
+    /// ascending word-id order.
     pub fn iter_words(&self) -> impl Iterator<Item = (&str, &WordStats)> {
-        self.words.iter().map(|(w, s)| (w.as_str(), s))
+        self.words.iter().map(String::as_str).zip(&self.stats)
     }
 
-    /// Number of distinct words.
+    /// Number of distinct words; word ids are `0..n_words()`.
     pub fn n_words(&self) -> usize {
         self.words.len()
+    }
+
+    /// The word with id `id`.
+    pub fn word_text(&self, id: u32) -> &str {
+        &self.words[id as usize]
+    }
+
+    /// Statistics of the word with id `id`.
+    pub fn word_stats(&self, id: u32) -> &WordStats {
+        &self.stats[id as usize]
     }
 
     /// Document ids falling in slice range `[from, to]` (inclusive).
@@ -169,9 +214,9 @@ impl SlicedCorpus {
         out
     }
 
-    /// Unique tokens of document `doc_id`.
-    pub fn doc_tokens(&self, doc_id: u32) -> &[String] {
-        &self.doc_tokens[doc_id as usize]
+    /// Distinct word ids of document `doc_id`, ascending.
+    pub fn doc_word_ids(&self, doc_id: u32) -> &[u32] {
+        &self.doc_words[doc_id as usize]
     }
 
     /// Timestamp at which slice `i` begins.

@@ -21,7 +21,7 @@
 //! events, so a decoded window continues exactly where the encoded
 //! one stopped.
 
-use crate::timeslice::{SlicedCorpus, TimestampedDoc};
+use crate::timeslice::TimestampedDoc;
 
 /// A timestamp-sorted document buffer bounded by a time horizon.
 #[derive(Debug, Clone)]
@@ -102,16 +102,12 @@ impl SlidingWindow {
         self.evicted += keep_from;
         keep_from
     }
-
-    /// Slices the buffered documents for MABED.
-    pub fn to_sliced(&self, slice_secs: u64) -> SlicedCorpus {
-        SlicedCorpus::build(&self.docs, slice_secs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeslice::SlicedCorpus;
 
     fn doc(ts: u64, word: &str) -> TimestampedDoc {
         TimestampedDoc::new(ts, vec![word.to_string()], 0)
@@ -167,7 +163,7 @@ mod tests {
         let mut w = SlidingWindow::new(200);
         w.push_slice([doc(0, "old")], 100);
         w.push_slice([doc(250, "new"), doc(299, "new")], 300);
-        let sliced = w.to_sliced(100);
+        let sliced = SlicedCorpus::build(w.docs(), 100);
         assert_eq!(sliced.n_docs, 2, "evicted doc must not reach MABED");
     }
 }

@@ -16,6 +16,7 @@
 use crate::sentence::split_sentences;
 use crate::tokenizer::{tokenize, TokenKind};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Connector words allowed *inside* a capitalized run
 /// ("Department of Justice").
@@ -60,56 +61,65 @@ impl EntityExtractor {
     /// (lowercase, multi-word joined by `_`), in order of appearance
     /// and deduplicated.
     pub fn extract(&self, text: &str) -> Vec<String> {
+        // Each sentence's word tokens as (surface, lowercase) pairs,
+        // tokenized once and shared by both passes.
+        let sentences: Vec<Vec<(String, String)>> = split_sentences(text)
+            .iter()
+            .map(|sent| {
+                tokenize(sent)
+                    .into_iter()
+                    .filter(|t| t.kind == TokenKind::Word)
+                    .map(|t| {
+                        let lower = t.lower();
+                        (t.text, lower)
+                    })
+                    .collect()
+            })
+            .collect();
+
         // Pass 1: collect words seen capitalized mid-sentence, so that
         // sentence-initial capitals can be validated.
-        let sentences = split_sentences(text);
-        let mut midsentence_caps: HashSet<String> = HashSet::new();
-        for sent in &sentences {
-            let toks = tokenize(sent);
-            let mut word_index = 0;
-            for t in &toks {
-                if t.kind == TokenKind::Word {
-                    if word_index > 0 && starts_upper(&t.text) {
-                        midsentence_caps.insert(t.lower());
-                    }
-                    word_index += 1;
+        let mut midsentence_caps: HashSet<&str> = HashSet::new();
+        for words in &sentences {
+            for (surface, lower) in words.iter().skip(1) {
+                if starts_upper(surface) {
+                    midsentence_caps.insert(lower);
                 }
             }
         }
 
         let mut out = Vec::new();
         let mut seen = HashSet::new();
-        for sent in &sentences {
-            let toks: Vec<_> =
-                tokenize(sent).into_iter().filter(|t| t.kind == TokenKind::Word).collect();
+        for words in &sentences {
             let mut i = 0;
-            while i < toks.len() {
-                let cap = starts_upper(&toks[i].text);
+            while i < words.len() {
+                let (surface, lower) = &words[i];
+                let cap = starts_upper(surface);
                 let confirm = i > 0
-                    || midsentence_caps.contains(&toks[i].lower())
-                    || self.gazetteer.contains(&toks[i].lower());
+                    || midsentence_caps.contains(lower.as_str())
+                    || self.gazetteer.contains(lower);
                 if cap && confirm {
                     // Extend the run.
                     let mut j = i + 1;
                     let mut last_cap = i;
-                    while j < toks.len() {
-                        if starts_upper(&toks[j].text) {
+                    while j < words.len() {
+                        if starts_upper(&words[j].0) {
                             last_cap = j;
                             j += 1;
-                        } else if CONNECTORS.contains(&toks[j].lower().as_str())
-                            && j + 1 < toks.len()
-                            && starts_upper(&toks[j + 1].text)
+                        } else if CONNECTORS.contains(&words[j].1.as_str())
+                            && j + 1 < words.len()
+                            && starts_upper(&words[j + 1].0)
                         {
                             j += 1;
                         } else {
                             break;
                         }
                     }
-                    let span: Vec<String> =
-                        toks[i..=last_cap].iter().map(|t| t.lower()).collect();
+                    let span: Vec<&str> =
+                        words[i..=last_cap].iter().map(|(_, l)| l.as_str()).collect();
                     // Single stopword-like capitals ("The") are not entities.
                     let is_entity = span.len() > 1
-                        || (!crate::stopwords::is_stopword(&span[0])
+                        || (!crate::stopwords::is_stopword(span[0])
                             && span[0].chars().count() > 1);
                     if is_entity {
                         let norm = span.join("_");
@@ -120,9 +130,8 @@ impl EntityExtractor {
                     i = last_cap + 1;
                 } else {
                     // Gazetteer hit on a lowercase word.
-                    let lower = toks[i].lower();
-                    if self.gazetteer.contains(&lower) && seen.insert(lower.clone()) {
-                        out.push(lower);
+                    if self.gazetteer.contains(lower) && seen.insert(lower.clone()) {
+                        out.push(lower.clone());
                     }
                     i += 1;
                 }
@@ -132,13 +141,20 @@ impl EntityExtractor {
     }
 }
 
+/// The default extractor, built once and shared by every document the
+/// pipelines process.
+pub(crate) fn default_extractor() -> &'static EntityExtractor {
+    static DEFAULT: OnceLock<EntityExtractor> = OnceLock::new();
+    DEFAULT.get_or_init(EntityExtractor::default)
+}
+
 fn starts_upper(w: &str) -> bool {
     w.chars().next().is_some_and(|c| c.is_uppercase())
 }
 
 /// Extracts entities with the default extractor. See [`EntityExtractor`].
 pub fn extract_entities(text: &str) -> Vec<String> {
-    EntityExtractor::new().extract(text)
+    default_extractor().extract(text)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //!   minimal to replicate the original MABED preprocessing.
 
 use crate::lemmatizer::lemmatize;
-use crate::ner::EntityExtractor;
+use crate::ner::{default_extractor, EntityExtractor};
 use crate::stopwords::is_stopword;
 use crate::tokenizer::{tokenize, TokenKind};
 use std::collections::HashSet;
@@ -17,7 +17,7 @@ use std::collections::HashSet;
 /// NewsTM pipeline: entities-as-concepts + lemmas, stopwords and
 /// punctuation removed. Returns the processed token stream.
 pub fn preprocess_topic_modeling(text: &str) -> Vec<String> {
-    preprocess_topic_modeling_with(&EntityExtractor::new(), text)
+    preprocess_topic_modeling_with(default_extractor(), text)
 }
 
 /// [`preprocess_topic_modeling`] with a caller-supplied entity
@@ -26,10 +26,7 @@ pub fn preprocess_topic_modeling_with(extractor: &EntityExtractor, text: &str) -
     let entities = extractor.extract(text);
     // Words consumed by multi-word entities should not re-appear as
     // single terms; single-word entities replace their plain form.
-    let entity_parts: HashSet<String> = entities
-        .iter()
-        .flat_map(|e| e.split('_').map(str::to_string))
-        .collect();
+    let entity_parts: HashSet<&str> = entities.iter().flat_map(|e| e.split('_')).collect();
 
     let mut out = Vec::new();
     let mut emitted_entities: HashSet<&str> = HashSet::new();
@@ -38,7 +35,7 @@ pub fn preprocess_topic_modeling_with(extractor: &EntityExtractor, text: &str) -
         match tok.kind {
             TokenKind::Word => {
                 let lower = tok.lower();
-                if entity_parts.contains(&lower) {
+                if entity_parts.contains(lower.as_str()) {
                     // Emit the next not-yet-emitted entity the first
                     // time one of its parts is reached; subsequent
                     // parts of the same entity are skipped.

@@ -108,7 +108,7 @@ pub fn tokenize(text: &str) -> Vec<Token> {
         }
 
         // Emoticon?
-        if let Some(emo) = EMOTICONS.iter().find(|e| chars[i..].starts_with(&e.chars().collect::<Vec<_>>()[..])) {
+        if let Some(emo) = EMOTICONS.iter().find(|e| starts_with_str(&chars[i..], e)) {
             tokens.push(Token::new(*emo, TokenKind::Emoticon));
             i += emo.chars().count();
             continue;
@@ -156,11 +156,16 @@ pub fn tokenize(text: &str) -> Vec<Token> {
     tokens
 }
 
+/// Whether `chars` begins with the characters of `prefix`, compared in
+/// place (no per-probe allocation).
+fn starts_with_str(chars: &[char], prefix: &str) -> bool {
+    let mut rest = chars.iter();
+    prefix.chars().all(|p| rest.next() == Some(&p))
+}
+
 /// Returns the char-length of a URL starting at the slice head, if any.
 fn match_url(chars: &[char]) -> Option<usize> {
-    let s: String = chars.iter().take(10).collect();
-    let prefixed =
-        s.starts_with("http://") || s.starts_with("https://") || s.starts_with("www.");
+    let prefixed = ["http://", "https://", "www."].iter().any(|p| starts_with_str(chars, p));
     if !prefixed {
         return None;
     }
@@ -288,6 +293,66 @@ mod tests {
     fn stray_at_sign_is_punct() {
         let toks = tokenize("a @ b");
         assert_eq!(toks[1].kind, TokenKind::Punct);
+    }
+
+    fn pairs(text: &str) -> Vec<(String, TokenKind)> {
+        tokenize(text).into_iter().map(|t| (t.text, t.kind)).collect()
+    }
+
+    fn assert_tokens(cases: &[(&str, &[(&str, TokenKind)])]) {
+        for (text, want) in cases {
+            let want: Vec<(String, TokenKind)> =
+                want.iter().map(|&(t, k)| (t.to_string(), k)).collect();
+            assert_eq!(pairs(text), want, "tokens of {text:?}");
+        }
+    }
+
+    /// Emoticon and URL prefixes cut off by the end of the text fall
+    /// back to punctuation and words.
+    #[test]
+    fn truncated_emoticon_and_url_prefixes() {
+        use TokenKind::*;
+        assert_tokens(&[
+            (":", &[(":", Punct)]),
+            (":-", &[(":", Punct), ("-", Punct)]),
+            (":'", &[(":", Punct), ("'", Punct)]),
+            ("<", &[("<", Punct)]),
+            ("htt", &[("htt", Word)]),
+            ("http:", &[("http", Word), (":", Punct)]),
+            ("http:/", &[("http", Word), (":/", Punct)]),
+            ("www", &[("www", Word)]),
+            ("www.", &[("www", Word), (".", Punct)]),
+            ("https://", &[("https://", Url)]),
+            ("www.ab", &[("www.ab", Url)]),
+            (":oops", &[(":o", Emoticon), ("ops", Word)]),
+        ]);
+    }
+
+    /// The probes compare chars, not bytes: a multi-byte neighbour
+    /// neither hides nor fakes a prefix.
+    #[test]
+    fn prefixes_next_to_multibyte_chars() {
+        use TokenKind::*;
+        assert_tokens(&[
+            ("é:)", &[("é", Word), (":)", Emoticon)]),
+            ("hé:-)x", &[("hé", Word), (":-)", Emoticon), ("x", Word)]),
+            ("wé", &[("wé", Word)]),
+            ("wéé.x", &[("wéé", Word), (".", Punct), ("x", Word)]),
+            ("http://é", &[("http://é", Url)]),
+        ]);
+    }
+
+    #[test]
+    fn hashtag_or_mention_right_after_emoticon() {
+        use TokenKind::*;
+        assert_tokens(&[
+            (":)#tag", &[(":)", Emoticon), ("#tag", Hashtag)]),
+            (":)@user", &[(":)", Emoticon), ("@user", Mention)]),
+            (";)#Tag!", &[(";)", Emoticon), ("#Tag", Hashtag), ("!", Punct)]),
+            ("<3@a", &[("<3", Emoticon), ("@a", Mention)]),
+            (":-D#x", &[(":-D", Emoticon), ("#x", Hashtag)]),
+            (":)#", &[(":)", Emoticon), ("#", Punct)]),
+        ]);
     }
 
     #[test]

@@ -23,6 +23,18 @@ use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
+/// The reference digests below were recorded from the `x86-64-v3`
+/// build that `.cargo/config.toml` selects; other codegen may round
+/// differently (fused vs. split multiply-add), so the pins only hold
+/// where FMA is enabled.
+const REFERENCE_BUILD: bool = cfg!(all(target_arch = "x86_64", target_feature = "fma"));
+
+/// `Pipeline::new(PipelineConfig::small()).run()?.content_digest()`.
+const BATCH_SMALL_DIGEST: u64 = 0x4713_d07c_0644_2a5b;
+
+/// Head digest of `StreamPipeline::new(StreamConfig::small()).run(7)`.
+const STREAM_SMALL_7_DIGEST: u64 = 0xd377_df0c_6c06_7387;
+
 /// Runs `f` once per thread count and asserts every run returns the
 /// same `Vec<f64>` bit-for-bit.
 fn assert_bitwise_stable<F: Fn() -> Vec<f64>>(label: &str, f: F) {
@@ -326,6 +338,12 @@ fn pipeline_warm_runs_are_bit_identical_across_threads() {
         "force must execute every stage body"
     );
     let cold_digest = cold.content_digest();
+    if REFERENCE_BUILD {
+        assert_eq!(
+            cold_digest, BATCH_SMALL_DIGEST,
+            "cold batch digest {cold_digest:016x} moved off the reference bits"
+        );
+    }
 
     for threads in ["1", "2", "8"] {
         std::env::set_var("NEWSDIFF_THREADS", threads);
@@ -343,6 +361,30 @@ fn pipeline_warm_runs_are_bit_identical_across_threads() {
             warm.content_digest(),
             cold_digest,
             "warm output differs from cold at {threads} threads"
+        );
+    }
+    std::env::remove_var("NEWSDIFF_THREADS");
+}
+
+/// Runs compared with each other cannot see a kernel change that moves
+/// a bit on every run; this pins the uncached 7-slice stream head to
+/// its recorded digest at 1 and 8 threads.
+#[test]
+#[cfg_attr(
+    not(all(target_arch = "x86_64", target_feature = "fma")),
+    ignore = "reference digest recorded from the x86-64-v3 (FMA) build"
+)]
+fn stream_head_digest_matches_reference_bits() {
+    use newsdiff::core::incremental::{StreamConfig, StreamPipeline};
+    let _guard = ENV_LOCK.lock().unwrap();
+    for threads in ["1", "8"] {
+        std::env::set_var("NEWSDIFF_THREADS", threads);
+        let (head, _) = StreamPipeline::new(StreamConfig::small()).run(7).expect("stream run");
+        let digest = head.content_digest();
+        assert_eq!(
+            digest, STREAM_SMALL_7_DIGEST,
+            "7-slice stream head digest {digest:016x} at {threads} threads moved off the \
+             reference bits"
         );
     }
     std::env::remove_var("NEWSDIFF_THREADS");
