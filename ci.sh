@@ -72,13 +72,10 @@ NEWSDIFF_THREADS=4 cargo test -q --test determinism
 echo "==> serving round-trip (bit-identity, hot swap, backpressure)"
 NEWSDIFF_THREADS=4 cargo test -q --test serve_roundtrip
 
-echo "==> serving load smoke (zero 5xx outside the overload drill)"
-cargo run --release --example serve_demo -- --smoke
-
 echo "==> serving SLO suite (loris cutoff, header flood, dynamic Retry-After, shard bit-identity)"
 NEWSDIFF_THREADS=4 cargo test -q --release --test serve_slo
 
-echo "==> sharded load-generator smoke (closed/open/burst/loris profiles healthy)"
+echo "==> sharded load-generator smoke (closed/open/burst/loris/swap profiles healthy, zero non-503 failures)"
 cargo run --release --example loadgen -- --smoke
 
 echo "==> pattern-mining smoke (planted signatures recovered exactly, drift shifts the catalog)"

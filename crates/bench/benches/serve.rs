@@ -21,7 +21,6 @@ use nd_store::Database;
 use serde_json::json;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Paper-scale feature width (Doc2Vec 300 + engineered metadata).
 const DIM: usize = 308;
@@ -48,12 +47,7 @@ fn bench_microbatch(c: &mut Criterion) {
     let rows = feature_rows(ROWS, 7);
 
     let batch1 = Batcher::start(
-        BatchConfig {
-            max_batch: 1,
-            max_wait: Duration::ZERO,
-            queue_capacity: 4096,
-            workers: 1,
-        },
+        BatchConfig { max_batch: 1, queue_capacity: 4096, workers: 1 },
         Arc::new(Metrics::default()),
     )
     .unwrap();
@@ -71,12 +65,7 @@ fn bench_microbatch(c: &mut Criterion) {
     batch1.drain();
 
     let batch64 = Batcher::start(
-        BatchConfig {
-            max_batch: ROWS,
-            max_wait: Duration::from_millis(2),
-            queue_capacity: 4096,
-            workers: 1,
-        },
+        BatchConfig { max_batch: ROWS, queue_capacity: 4096, workers: 1 },
         Arc::new(Metrics::default()),
     )
     .unwrap();
@@ -109,7 +98,6 @@ fn bench_http_roundtrip(c: &mut Criterion) {
     let server = Server::start(
         ServeConfig {
             cache_rows: 0,
-            batch: BatchConfig { max_wait: Duration::ZERO, ..BatchConfig::default() },
             ..ServeConfig::default()
         },
         registry,

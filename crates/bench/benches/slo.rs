@@ -45,15 +45,8 @@ fn config_for(shards: usize, queue_capacity: usize) -> ServeConfig {
     ServeConfig {
         // Equal resources per layout: 4 total batch workers, pooled
         // behind one queue or one per shard; cache disabled so every
-        // request costs a forward pass; the coalescing wait disabled
-        // so the comparison isolates queue structure, not timer
-        // tuning.
-        batch: BatchConfig {
-            workers: 4,
-            max_wait: Duration::ZERO,
-            queue_capacity,
-            ..BatchConfig::default()
-        },
+        // request costs a forward pass.
+        batch: BatchConfig { workers: 4, queue_capacity, ..BatchConfig::default() },
         cache_rows: 0,
         shard: ShardConfig { shards, ..ShardConfig::default() },
         ..ServeConfig::default()

@@ -1,12 +1,15 @@
 //! Request micro-batching with bounded-queue backpressure.
 //!
 //! Concurrent `/predict` requests land in one bounded queue; worker
-//! threads coalesce them into a single forward pass. A worker that
-//! finds one job queued runs it at once; only when a second job is
-//! queued does it hold the pass open for stragglers (up to
-//! [`BatchConfig::max_wait`]). Batching is a throughput trade: one
-//! matmul over 64 rows amortizes per-pass overhead that 64 single-row
-//! passes each pay in full.
+//! threads coalesce them into a single forward pass. A worker sleeps
+//! only until the queue is non-empty, then takes the front run of
+//! same-model jobs (up to [`BatchConfig::max_batch`] rows) and runs it
+//! at once. Jobs that arrive during a pass queue up and share the next
+//! one, so coalescing comes from load, not from a timer: an idle
+//! server answers a lone request without delay, and a busy one fills
+//! its passes. Batching is a throughput trade: one matmul over 64 rows
+//! amortizes per-pass overhead that 64 single-row passes each pay in
+//! full.
 //!
 //! A row's scores stay bit-identical across passes only while every
 //! pass it could run in takes the same GEMM kernel (see
@@ -22,7 +25,9 @@
 //! batch request counts like 256 singles. When admission would exceed
 //! the bound, [`Batcher::submit`] refuses immediately and the caller
 //! turns that into `503 Retry-After` — load sheds at the front door
-//! instead of accumulating latency (or memory) inside.
+//! instead of accumulating latency (or memory) inside. A job larger
+//! than the whole bound can never be admitted and is refused as
+//! [`SubmitError::TooLarge`] instead, so no client retries it.
 
 use crate::metrics::Metrics;
 use crate::registry::ModelHandle;
@@ -33,17 +38,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Most rows coalesced into one forward pass.
+    /// Most rows coalesced into one forward pass. A pass takes what
+    /// is queued when a worker frees up, up to this many rows; it
+    /// never waits for more.
     pub max_batch: usize,
-    /// Longest a queued row waits for company before the batch runs
-    /// anyway. The wait applies only once a second job is queued: a
-    /// worker that finds one job alone runs it at once.
-    pub max_wait: Duration,
     /// Admission bound: queued rows beyond this are rejected.
     pub queue_capacity: usize,
     /// Worker threads running forward passes.
@@ -54,7 +56,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 64,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 1024,
             workers: 2,
         }
@@ -68,6 +69,14 @@ pub enum SubmitError {
     Overloaded {
         /// Rows currently queued.
         queued_rows: usize,
+    },
+    /// The job alone holds more rows than the queue admits at all;
+    /// retrying cannot help.
+    TooLarge {
+        /// Rows in the refused job.
+        rows: usize,
+        /// The queue's admission bound, in rows.
+        capacity: usize,
     },
     /// The batcher is draining for shutdown.
     ShuttingDown,
@@ -135,18 +144,10 @@ impl Batcher {
         // Poison recovery everywhere a lock is taken: a panicking
         // worker must degrade one response, not wedge the service
         // behind a poisoned mutex. The queue state stays consistent
-        // because every mutation below is a single non-panicking step.
+        // because every mutation in `admit` is a single non-panicking
+        // step.
         let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if !state.open {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if state.queued_rows + rows.len() > self.inner.config.queue_capacity {
-            self.inner.metrics.overload_rejections.inc();
-            return Err(SubmitError::Overloaded { queued_rows: state.queued_rows });
-        }
-        let (tx, rx) = mpsc::channel();
-        state.queued_rows += rows.len();
-        state.queue.push_back(Job { handle, rows, tx });
+        let rx = self.inner.admit(&mut state, handle, rows)?;
         drop(state);
         self.inner.cond.notify_one();
         Ok(rx)
@@ -188,6 +189,34 @@ impl Batcher {
     }
 }
 
+impl Inner {
+    /// Queues one job under the caller's hold of the state lock, or
+    /// says why it is refused. The caller wakes a worker once it
+    /// releases the lock.
+    fn admit(
+        &self,
+        state: &mut State,
+        handle: Arc<ModelHandle>,
+        rows: Vec<Vec<f64>>,
+    ) -> Result<Receiver<Vec<Vec<f64>>>, SubmitError> {
+        if !state.open {
+            return Err(SubmitError::ShuttingDown);
+        }
+        let capacity = self.config.queue_capacity;
+        if rows.len() > capacity {
+            return Err(SubmitError::TooLarge { rows: rows.len(), capacity });
+        }
+        if state.queued_rows + rows.len() > capacity {
+            self.metrics.overload_rejections.inc();
+            return Err(SubmitError::Overloaded { queued_rows: state.queued_rows });
+        }
+        let (tx, rx) = mpsc::channel();
+        state.queued_rows += rows.len();
+        state.queue.push_back(Job { handle, rows, tx });
+        Ok(rx)
+    }
+}
+
 fn worker_loop(inner: &Inner) {
     loop {
         let batch = {
@@ -199,42 +228,8 @@ fn worker_loop(inner: &Inner) {
             if state.queue.is_empty() {
                 return; // drained and closed
             }
-            // Micro-batch window. A lone queued job runs at once: a
-            // wait would only delay it, and jobs that arrive during
-            // its pass still queue and coalesce on the next one. Once
-            // a second job is queued, stragglers get up to `max_wait`
-            // to pile in, unless the pass is already full or we are
-            // draining. The window is adaptive: it waits in short
-            // slices and exits as soon as a slice passes with no new
-            // rows — paying the full `max_wait` on every pass would
-            // serialize idle time behind each forward pass and cap
-            // throughput at `max_batch / max_wait` even with work
-            // already queued.
-            let deadline = Instant::now() + inner.config.max_wait;
-            let slice = (inner.config.max_wait / 8).max(Duration::from_micros(50));
-            while state.open
-                && state.queue.len() > 1
-                && state.queued_rows < inner.config.max_batch
-            {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let before = state.queued_rows;
-                let (next, _timeout) = inner
-                    .cond
-                    .wait_timeout(state, slice.min(deadline - now))
-                    .unwrap_or_else(PoisonError::into_inner);
-                state = next;
-                if state.queue.is_empty() || state.queued_rows == before {
-                    // Another worker emptied the queue, or arrivals
-                    // have stopped — run with what we have.
-                    break;
-                }
-            }
-            if state.queue.is_empty() {
-                continue; // another worker took everything
-            }
+            // Run whatever is queued now. Jobs that arrive during this
+            // pass wait for the next one and coalesce there.
             take_batch(&mut state, inner.config.max_batch)
         };
         run_batch(inner, batch);
@@ -331,82 +326,73 @@ mod tests {
         batcher.drain();
     }
 
-    #[test]
-    fn coalesces_under_concurrency() {
-        let h = handle(1);
-        let metrics = Arc::new(Metrics::default());
-        let batcher = Arc::new(
-            Batcher::start(
-                BatchConfig {
-                    max_batch: 64,
-                    max_wait: Duration::from_millis(20),
-                    workers: 1,
-                    ..BatchConfig::default()
-                },
-                Arc::clone(&metrics),
-            )
-            .unwrap(),
-        );
-        let threads: Vec<_> = (0..16)
-            .map(|i| {
-                let batcher = Arc::clone(&batcher);
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    batcher.submit(h, vec![row(i)]).unwrap().recv().unwrap()
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let batches = metrics.batches.get();
-        assert!(batches < 16, "16 concurrent singles ran {batches} passes");
-        assert_eq!(metrics.batch_rows.sum(), 16);
-        batcher.drain();
+    /// Admits jobs through `f` under one hold of the state lock, then
+    /// wakes the workers: no pass can start until every job `f`
+    /// admits is queued.
+    fn queue_at_once<T>(batcher: &Batcher, f: impl FnOnce(&Inner, &mut State) -> T) -> T {
+        let out = {
+            let mut state = batcher.inner.state.lock().unwrap();
+            f(&batcher.inner, &mut state)
+        };
+        batcher.inner.cond.notify_all();
+        out
     }
 
     #[test]
-    fn lone_job_runs_without_waiting_for_company() {
+    fn queued_singles_share_one_pass() {
+        let h = handle(1);
+        let metrics = Arc::new(Metrics::default());
         let batcher = Batcher::start(
-            BatchConfig { max_wait: Duration::from_secs(2), workers: 1, ..Default::default() },
-            Arc::new(Metrics::default()),
+            BatchConfig { max_batch: 64, workers: 1, ..BatchConfig::default() },
+            Arc::clone(&metrics),
         )
         .unwrap();
-        let started = Instant::now();
-        let rx = batcher.submit(handle(1), vec![row(0)]).unwrap();
-        assert_eq!(rx.recv().unwrap().len(), 1);
-        let waited = started.elapsed();
-        assert!(waited < Duration::from_millis(100), "a lone job waited {waited:?}");
+        let rxs: Vec<_> = queue_at_once(&batcher, |inner, state| {
+            (0..16)
+                .map(|i| inner.admit(state, Arc::clone(&h), vec![row(i)]).unwrap())
+                .collect()
+        });
+        for (i, rx) in rxs.into_iter().enumerate() {
+            let offline = h.network.predict_batch(&Mat::from_rows(&[row(i as u64)]).unwrap());
+            assert_eq!(rx.recv().unwrap(), vec![offline.row(0).to_vec()], "row {i}");
+        }
+        assert_eq!(metrics.batches.get(), 1, "16 queued singles run as one pass");
+        assert_eq!(metrics.batch_rows.sum(), 16);
         batcher.drain();
     }
 
     #[test]
     fn overload_is_rejected_not_queued() {
         let h = handle(1);
+        let metrics = Arc::new(Metrics::default());
         let batcher = Batcher::start(
-            BatchConfig {
-                queue_capacity: 4,
-                max_wait: Duration::from_millis(200),
-                workers: 1,
-                ..BatchConfig::default()
-            },
-            Arc::new(Metrics::default()),
+            BatchConfig { queue_capacity: 4, workers: 1, ..BatchConfig::default() },
+            Arc::clone(&metrics),
         )
         .unwrap();
-        // Sheds only when the submits outrun the worker: a job found
-        // alone runs at once, and once two jobs are queued the 200 ms
-        // window holds them while the queue fills behind them.
-        let first = batcher.submit(Arc::clone(&h), vec![row(0), row(1)]).unwrap();
-        let mut accepted = vec![first];
+        // One 2-row job and eight singles against a 4-row bound, all
+        // offered before the worker can take any: the first three
+        // fill the queue and the other six are shed.
+        let results: Vec<_> = queue_at_once(&batcher, |inner, state| {
+            std::iter::once(vec![row(0), row(1)])
+                .chain((0..8).map(|i| vec![row(i + 2)]))
+                .map(|rows| inner.admit(state, Arc::clone(&h), rows))
+                .collect()
+        });
+        let mut accepted = Vec::new();
         let mut rejected = 0;
-        for i in 0..8 {
-            match batcher.submit(Arc::clone(&h), vec![row(i + 2)]) {
+        for result in results {
+            match result {
                 Ok(rx) => accepted.push(rx),
-                Err(SubmitError::Overloaded { .. }) => rejected += 1,
+                Err(SubmitError::Overloaded { queued_rows }) => {
+                    assert_eq!(queued_rows, 4);
+                    rejected += 1;
+                }
                 Err(e) => panic!("{e:?}"),
             }
         }
-        assert!(rejected > 0, "queue_capacity=4 must shed some of 10 rows");
+        assert_eq!(rejected, 6, "queue_capacity=4 admits 4 of 10 rows");
+        assert_eq!(metrics.overload_rejections.get(), 6);
         for rx in accepted {
             rx.recv().unwrap();
         }
@@ -416,40 +402,47 @@ mod tests {
     #[test]
     fn mixed_models_never_share_a_pass() {
         let (a, b) = (handle(1), handle(2));
+        let metrics = Arc::new(Metrics::default());
         let batcher = Batcher::start(
-            BatchConfig { max_wait: Duration::from_millis(20), workers: 1, ..Default::default() },
-            Arc::new(Metrics::default()),
+            BatchConfig { workers: 1, ..Default::default() },
+            Arc::clone(&metrics),
         )
         .unwrap();
-        let rxs: Vec<_> = (0..6)
-            .map(|i| {
-                let h = if i % 2 == 0 { &a } else { &b };
-                (i, batcher.submit(Arc::clone(h), vec![row(i)]).unwrap())
-            })
-            .collect();
+        // Queued as a, a, b, b, a, a: each same-model front run is one
+        // pass, so three passes of two rows.
+        let model = |i: u64| if (i / 2).is_multiple_of(2) { &a } else { &b };
+        let rxs: Vec<_> = queue_at_once(&batcher, |inner, state| {
+            (0..6)
+                .map(|i| (i, inner.admit(state, Arc::clone(model(i)), vec![row(i)]).unwrap()))
+                .collect()
+        });
         for (i, rx) in rxs {
-            let h = if i % 2 == 0 { &a } else { &b };
-            let offline = h.network.predict_batch(&Mat::from_rows(&[row(i)]).unwrap());
+            let offline = model(i).network.predict_batch(&Mat::from_rows(&[row(i)]).unwrap());
             assert_eq!(rx.recv().unwrap(), vec![offline.row(0).to_vec()], "row {i}");
         }
+        assert_eq!(metrics.batches.get(), 3, "one pass per same-model run");
+        assert_eq!(metrics.batch_rows.sum(), 6);
         batcher.drain();
     }
 
     #[test]
     fn drain_completes_accepted_work_then_refuses() {
         let h = handle(1);
-        let batcher = Batcher::start(
-            BatchConfig { max_wait: Duration::from_millis(50), ..Default::default() },
-            Arc::new(Metrics::default()),
-        )
-        .unwrap();
-        let rxs: Vec<_> = (0..5)
-            .map(|i| batcher.submit(Arc::clone(&h), vec![row(i)]).unwrap())
-            .collect();
+        let batcher =
+            Batcher::start(BatchConfig::default(), Arc::new(Metrics::default())).unwrap();
+        // Admission closes in the same hold of the lock that queued
+        // the jobs, so drain starts with all five still queued.
+        let rxs: Vec<_> = queue_at_once(&batcher, |inner, state| {
+            let rxs: Vec<_> = (0..5)
+                .map(|i| inner.admit(state, Arc::clone(&h), vec![row(i)]).unwrap())
+                .collect();
+            state.open = false;
+            rxs
+        });
         batcher.drain();
-        // Every accepted job still got an answer.
+        // Every accepted job was answered before drain returned.
         for rx in rxs {
-            assert_eq!(rx.recv().unwrap().len(), 1);
+            assert_eq!(rx.try_recv().unwrap().len(), 1);
         }
     }
 

@@ -1,8 +1,8 @@
 //! Minimal blocking HTTP client.
 //!
-//! Used by the integration tests, the demo binary, and the load
-//! generator — one persistent keep-alive connection per `Client`, so
-//! request latency measures the server, not TCP handshakes.
+//! Used by the integration tests and the load generator — one
+//! persistent keep-alive connection per `Client`, so request latency
+//! measures the server, not TCP handshakes.
 
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};

@@ -22,8 +22,8 @@
 //!   admission queue; drain-rate-derived `Retry-After`.
 //! - [`cache`] — LRU over exact feature-vector bit patterns; repeat
 //!   queries for trending topics skip the network entirely.
-//! - [`batcher`] — micro-batching: concurrent requests coalesce into
-//!   one forward pass, bounded queues shed overload as `503`.
+//! - [`batcher`] — micro-batching: requests queued while a pass runs
+//!   coalesce into the next one, bounded queues shed overload as `503`.
 //! - [`registry`] — versioned models behind swappable [`std::sync::Arc`]
 //!   handles; hot swap never tears an in-flight request.
 //! - [`metrics`] — lock-free counters/histograms for `GET /metrics`.
@@ -34,8 +34,8 @@
 //!   next firehose slice through the incremental DAG (cached prefix
 //!   replays from disk); then one shared train → checkpoint → swap
 //!   step refits the served models and hot-swaps them.
-//! - [`client`] — a small blocking client used by the tests, the
-//!   demo, and the load generator.
+//! - [`client`] — a small blocking client used by the tests and the
+//!   load generator.
 //! - [`loadgen`] — deterministic closed/open-loop load generation and
 //!   adversarial probes for the SLO harness.
 //!

@@ -28,7 +28,6 @@
 //! deadline without stalling real traffic.
 
 use crate::client::Client;
-use crate::metrics::Metrics;
 use crate::registry::{ModelSpec, Registry};
 use crate::server::{ServeConfig, Server};
 use crate::ServeError;
@@ -502,11 +501,6 @@ pub fn boot_fixture(
 /// Model name list for an `n_models` fixture.
 pub fn fixture_models(n_models: usize) -> Vec<String> {
     (0..n_models).map(|i| format!("m{i}")).collect()
-}
-
-/// Convenience: aggregate counters a smoke run asserts against.
-pub fn metrics_of(server: &Server) -> std::sync::Arc<Metrics> {
-    server.metrics()
 }
 
 #[cfg(test)]

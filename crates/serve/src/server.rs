@@ -17,7 +17,9 @@
 //! sheds new connections with an immediate best-effort 503; a full
 //! per-shard batcher queue sheds `/predict` with 503 plus a
 //! `Retry-After` estimated from that shard's queue depth and recent
-//! drain rate. Accepted work is never dropped.
+//! drain rate, and a request that needs more rows admitted than the
+//! whole queue holds gets `413`, since no retry could succeed.
+//! Accepted work is never dropped.
 //!
 //! Shutdown order: close the front door (flag + acceptor join), close
 //! the pools and join their handlers (queued connections still get a
@@ -989,6 +991,14 @@ enum RequestError {
         /// The shard's Retry-After estimate, in seconds.
         retry_after_s: u64,
     },
+    /// The request's uncached rows exceed the shard's whole admission
+    /// bound, so no retry can succeed → 413, no `Retry-After`.
+    TooLarge {
+        /// Rows the request needed admitted.
+        rows: usize,
+        /// The shard's admission bound, in rows.
+        capacity: usize,
+    },
     /// Batcher is draining for shutdown → 503 + Retry-After.
     ShuttingDown,
     /// A batch worker dropped the reply channel → 500.
@@ -1017,6 +1027,17 @@ impl RequestError {
                     "error": "overloaded",
                     "queued_rows": queued_rows,
                     "retry_after_s": retry_after_s,
+                }),
+            ),
+            RequestError::TooLarge { rows, capacity } => (
+                413,
+                Vec::new(),
+                json!({
+                    "error": format!(
+                        "request needs {rows} rows admitted; a shard admits at most {capacity}"
+                    ),
+                    "rows": rows,
+                    "capacity": capacity,
                 }),
             ),
             RequestError::ShuttingDown => (
@@ -1264,6 +1285,9 @@ fn predict_inner(
                     queued_rows,
                     retry_after_s: shard.retry_after_secs(),
                 },
+                SubmitError::TooLarge { rows, capacity } => {
+                    RequestError::TooLarge { rows, capacity }
+                }
                 SubmitError::ShuttingDown => RequestError::ShuttingDown,
             })?;
         let outputs = receiver.recv().map_err(|_| RequestError::WorkerFailed)?;
@@ -1336,13 +1360,17 @@ mod tests {
     }
 
     fn boot(dir: &PathBuf, dim: usize) -> Server {
+        boot_with(dir, dim, ServeConfig::default())
+    }
+
+    fn boot_with(dir: &PathBuf, dim: usize, config: ServeConfig) -> Server {
         {
             let mut db = Database::open(dir).unwrap();
             save_checkpoint(&mut db, "likes", &build_mlp(dim, 11)).unwrap();
         }
         let spec = ModelSpec::new("likes", dim, move || build_mlp(dim, 0));
         let registry = Registry::load(dir, vec![spec], 2).unwrap();
-        Server::start(ServeConfig::default(), registry).unwrap()
+        Server::start(config, registry).unwrap()
     }
 
     #[test]
@@ -1672,26 +1700,55 @@ mod tests {
     #[test]
     fn single_shard_config_still_serves() {
         let dir = tmpdir("oneshard");
-        {
-            let mut db = Database::open(&dir).unwrap();
-            save_checkpoint(&mut db, "likes", &build_mlp(6, 11)).unwrap();
-        }
-        let spec = ModelSpec::new("likes", 6, move || build_mlp(6, 0));
-        let registry = Registry::load(&dir, vec![spec], 2).unwrap();
-        let server = Server::start(
+        let server = boot_with(
+            &dir,
+            6,
             ServeConfig {
                 shard: ShardConfig { shards: 1, ..ShardConfig::default() },
                 ..ServeConfig::default()
             },
-            registry,
-        )
-        .unwrap();
+        );
         assert_eq!(server.shard_count(), 1);
         let mut client = Client::connect(server.addr()).unwrap();
         let response = client
             .post_json("/predict", &json!({"features": vec![0.5; 6]}))
             .unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn request_larger_than_the_queue_gets_413_not_503() {
+        let dir = tmpdir("toolarge");
+        let server = boot_with(
+            &dir,
+            3,
+            ServeConfig {
+                batch: BatchConfig { queue_capacity: 8, ..BatchConfig::default() },
+                ..ServeConfig::default()
+            },
+        );
+        let mut client = Client::connect(server.addr()).unwrap();
+        let rows: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64, 0.5, -0.5]).collect();
+
+        // Nine uncached rows can never fit an 8-row queue: a retry
+        // cannot help, so no 503 and no Retry-After.
+        let too_large = client.post_json("/predict", &json!({"rows": rows})).unwrap();
+        assert_eq!(too_large.status, 413, "{}", too_large.text());
+        assert_eq!(too_large.header("retry-after"), None);
+        let body = too_large.json().unwrap();
+        assert_eq!(body["rows"].as_u64(), Some(9), "{body}");
+        assert_eq!(body["capacity"].as_u64(), Some(8), "{body}");
+        let error = body["error"].as_str().unwrap();
+        assert!(error.contains('9') && error.contains('8'), "{error}");
+        assert_eq!(server.metrics().overload_rejections.get(), 0);
+
+        // Exactly the bound fits an idle shard.
+        let fits = client.post_json("/predict", &json!({"rows": rows[..8]})).unwrap();
+        assert_eq!(fits.status, 200, "{}", fits.text());
+        assert_eq!(fits.json().unwrap()["predictions"].as_array().unwrap().len(), 8);
+
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

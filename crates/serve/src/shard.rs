@@ -12,8 +12,10 @@
 //! interleaves models fragments every forward pass down to a couple of
 //! rows. Partitioning the queue by model keeps each shard's queue
 //! homogeneous-ish, which restores long runs and therefore large
-//! batches — the per-row cost of a 64-row pass is ~6x cheaper than 64
-//! singles (see `BENCH_serve.json`).
+//! batches — 64 rows coalesced into 64-row passes run ~5.4x faster
+//! than the same rows as 64 single-row passes (median of
+//! `serve_predict_64rows_batch1` over `serve_predict_64rows_batch64`
+//! in `BENCH_serve.json`).
 //!
 //! Models listed in [`ShardConfig::replicated`] are served by
 //! `replicas` distinct shards; requests for them spill via "power of
@@ -177,8 +179,9 @@ impl DrainWindow {
 
 /// Seconds a shedding client should wait: queued work over drain
 /// rate, clamped to `[1, 30]`. With no drain evidence yet (cold shard)
-/// the estimate is optimistic — 1 second — because an idle shard
-/// clears its queue on the next batch window.
+/// the estimate is optimistic — 1 second — because an idle shard's
+/// worker takes its whole queue (up to `max_batch` rows) into the next
+/// forward pass at once.
 fn retry_after_from(queued_rows: usize, rate: f64) -> u64 {
     if rate <= f64::EPSILON {
         return 1;

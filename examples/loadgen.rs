@@ -5,6 +5,7 @@
 //! ```bash
 //! cargo run --release --example loadgen                    # all profiles
 //! cargo run --release --example loadgen -- --mode closed   # one profile
+//! cargo run --release --example loadgen -- --mode swap     # hot swap under load
 //! cargo run --release --example loadgen -- --smoke         # fast CI mode
 //! cargo run --release --example loadgen -- --json          # JSON summaries
 //! ```
@@ -12,21 +13,30 @@
 //! Profiles (`--mode`): `closed` (fixed concurrency, hot-model skew,
 //! cache-busting rows), `open` (Poisson arrivals at `--rps`), `burst`
 //! (open loop with periodic rate spikes), `loris` (slow-loris
-//! adversaries while a healthy probe keeps measuring), or `all`.
+//! adversaries while a healthy probe keeps measuring), `swap` (closed
+//! loop while a new version of `m0` is checkpointed and hot-swapped in
+//! with `POST /admin/reload`), or `all`.
 //!
 //! Other flags: `--shards N`, `--models N`, `--dim N`, `--clients N`,
 //! `--requests N` (per client), `--rps N`, `--duration-ms N`,
 //! `--skew S`, `--seed N`. `--smoke` shrinks everything and asserts
-//! the run was healthy (no transport errors, loris connections cut).
+//! the run was healthy: no transport errors or non-503 failures, loris
+//! connections cut, and the swap listed by the reload and served by
+//! `GET /models`.
 
+use newsdiff::core::checkpoint::save_checkpoint;
+use newsdiff::core::predict::build_mlp;
 use newsdiff::serve::loadgen::{
     boot_fixture, closed_loop, fixture_models, open_loop, slow_loris, BurstProfile,
     LoadSummary, TrafficMix,
 };
 use newsdiff::serve::shard::ShardConfig;
-use newsdiff::serve::{BatchConfig, ServeConfig};
+use newsdiff::serve::{BatchConfig, Client, ServeConfig};
+use newsdiff::store::Database;
+use serde_json::{json, Value};
+use std::error::Error;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 struct Options {
@@ -45,7 +55,6 @@ struct Options {
     rows: usize,
     workers: usize,
     cache_rows: usize,
-    max_wait_us: u64,
 }
 
 fn parse_args() -> Options {
@@ -77,7 +86,6 @@ fn parse_args() -> Options {
         rows: num("--rows", 1.0) as usize,
         workers: num("--workers", 2.0) as usize,
         cache_rows: num("--cache-rows", 4096.0) as usize,
-        max_wait_us: num("--max-wait-us", 2000.0) as u64,
     }
 }
 
@@ -97,6 +105,34 @@ fn print_summary(title: &str, s: &LoadSummary, json: bool) {
     );
 }
 
+/// Checkpoints a new version of `m0` into the fixture's store, hot-swaps
+/// it in with `POST /admin/reload`, and checks that the reply lists the
+/// swap and that `GET /models` then serves the new version.
+fn swap_m0(dir: &Path, addr: SocketAddr, dim: usize) -> Result<u64, Box<dyn Error>> {
+    let version = {
+        let mut db = Database::open(dir)?;
+        save_checkpoint(&mut db, "m0", &build_mlp(dim, 2000))?
+    };
+    // Whether `list` holds an entry naming m0 under `key` at `version` under `at`.
+    let lists = |list: &Value, key: &str, at: &str| {
+        list.as_array().is_some_and(|items| {
+            items
+                .iter()
+                .any(|e| e[key].as_str() == Some("m0") && e[at].as_u64() == Some(version))
+        })
+    };
+    let mut admin = Client::connect(addr)?;
+    let reload = admin.post_json("/admin/reload", &json!({}))?.json()?;
+    if !lists(&reload["swapped"], "model", "to") {
+        return Err(format!("reload did not list m0 -> v{version}: {reload}").into());
+    }
+    let models = admin.get("/models")?.json()?;
+    if !lists(&models["models"], "name", "version") {
+        return Err(format!("GET /models does not serve m0 v{version}: {models}").into());
+    }
+    Ok(version)
+}
+
 fn main() {
     let options = parse_args();
     let dir: PathBuf = std::env::temp_dir()
@@ -104,11 +140,7 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 
     let config = ServeConfig {
-        batch: BatchConfig {
-            workers: options.workers,
-            max_wait: Duration::from_micros(options.max_wait_us),
-            ..BatchConfig::default()
-        },
+        batch: BatchConfig { workers: options.workers, ..BatchConfig::default() },
         cache_rows: options.cache_rows,
         shard: ShardConfig { shards: options.shards, ..ShardConfig::default() },
         // Tight head deadline so the loris profile resolves quickly.
@@ -212,6 +244,37 @@ fn main() {
         }
     }
 
+    if run_all || options.mode == "swap" {
+        // Closed-loop rounds run back to back until the swap has
+        // landed, so the reload always meets live traffic.
+        let swapper = {
+            let (dir, dim) = (dir.clone(), options.dim);
+            std::thread::spawn(move || swap_m0(&dir, addr, dim).map_err(|e| e.to_string()))
+        };
+        let mut rounds = Vec::new();
+        while rounds.is_empty() || !swapper.is_finished() {
+            let seed = options.seed ^ (2 + rounds.len() as u64);
+            rounds.push(closed_loop(
+                addr,
+                options.clients,
+                options.requests,
+                &mix,
+                seed,
+            ));
+        }
+        let swap = swapper
+            .join()
+            .unwrap_or_else(|_| Err("swap thread panicked".to_string()));
+        healthy &= swap.is_ok() && rounds.iter().all(|s| s.errors == 0 && s.ok > 0);
+        let title = match &swap {
+            Ok(version) => format!("closed loop across a hot swap of m0 to v{version}"),
+            Err(e) => format!("closed loop across a FAILED hot swap of m0 ({e})"),
+        };
+        for (i, s) in rounds.iter().enumerate() {
+            print_summary(&format!("{title}, round {}", i + 1), s, options.json);
+        }
+    }
+
     // Final shed/served accounting straight from the server.
     let metrics = server.metrics();
     if !options.json {
@@ -227,7 +290,9 @@ fn main() {
 
     if options.smoke {
         if !healthy {
-            eprintln!("SMOKE FAILED: transport errors or surviving loris connections");
+            eprintln!(
+                "SMOKE FAILED: transport errors, surviving loris connections, or a failed hot swap"
+            );
             std::process::exit(1);
         }
         println!("SMOKE OK");

@@ -7,13 +7,18 @@
 use newsdiff::linalg::vecops::argmax;
 use newsdiff::linalg::Mat;
 use newsdiff::neural::{Network, Sgd};
-use newsdiff::serve::{BatchConfig, Client, ModelSpec, Registry, ServeConfig, Server};
+use newsdiff::serve::{BatchConfig, Client, Endpoint, ModelSpec, Registry, ServeConfig, Server};
 use newsdiff::store::Database;
 use serde_json::json;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
+
+mod common;
+use common::Gate;
 
 use newsdiff::core::checkpoint::save_checkpoint;
 use newsdiff::core::predict::build_mlp;
@@ -55,13 +60,24 @@ fn probe_rows(n: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..n).map(|i| m.row(i).to_vec()).collect()
 }
 
-fn boot(dir: &PathBuf, config: ServeConfig) -> (Server, Arc<Network>) {
+/// `network` with `gate` appended, when there is one.
+fn gated(network: Network, gate: Option<&Gate>) -> Network {
+    match gate {
+        Some(gate) => network.add(gate.clone()),
+        None => network,
+    }
+}
+
+/// Serves `train_model(7)` as "likes" and returns it for offline
+/// checks. With a gate, the served network (checkpoint and spec alike)
+/// ends in it; its scores are the same.
+fn boot(dir: &PathBuf, config: ServeConfig, gate: Option<Gate>) -> (Server, Arc<Network>) {
     let trained = train_model(7);
     {
         let mut db = Database::open(dir).unwrap();
-        save_checkpoint(&mut db, "likes", &trained).unwrap();
+        save_checkpoint(&mut db, "likes", &gated(train_model(7), gate.as_ref())).unwrap();
     }
-    let spec = ModelSpec::new("likes", DIM, || build_mlp(DIM, 0));
+    let spec = ModelSpec::new("likes", DIM, move || gated(build_mlp(DIM, 0), gate.as_ref()));
     let registry = Registry::load(dir, vec![spec], 2).unwrap();
     (Server::start(config, registry).unwrap(), Arc::new(trained))
 }
@@ -69,7 +85,7 @@ fn boot(dir: &PathBuf, config: ServeConfig) -> (Server, Arc<Network>) {
 #[test]
 fn concurrent_clients_get_bit_identical_predictions() {
     let dir = tmpdir("bitident");
-    let (server, trained) = boot(&dir, ServeConfig::default());
+    let (server, trained) = boot(&dir, ServeConfig::default(), None);
     let addr = server.addr();
 
     let clients: Vec<_> = (0..4)
@@ -131,7 +147,7 @@ fn concurrent_clients_get_bit_identical_predictions() {
 #[test]
 fn hot_swap_mid_traffic_is_never_torn() {
     let dir = tmpdir("hotswap");
-    let (server, v1) = boot(&dir, ServeConfig::default());
+    let (server, v1) = boot(&dir, ServeConfig::default(), None);
     let addr = server.addr();
 
     let v2 = Arc::new(train_model(99));
@@ -209,24 +225,22 @@ fn hot_swap_mid_traffic_is_never_torn() {
 #[test]
 fn overload_sheds_with_503_and_inflight_complete() {
     let dir = tmpdir("overload");
-    // A tiny queue and a slow batch window force rejections under
-    // concurrent fire.
+    // A tiny queue behind a worker parked in its first pass: the
+    // queue fills, and everything else is shed until the gate opens.
     let config = ServeConfig {
-        batch: BatchConfig {
-            max_batch: 4,
-            max_wait: Duration::from_millis(30),
-            queue_capacity: 8,
-            workers: 1,
-        },
+        batch: BatchConfig { max_batch: 4, queue_capacity: 8, workers: 1 },
         cache_rows: 0, // every request must take the batcher path
         ..ServeConfig::default()
     };
-    let (server, trained) = boot(&dir, config);
+    let gate = Gate::default();
+    let (server, trained) = boot(&dir, config, Some(gate.clone()));
     let addr = server.addr();
+    let (shed_tx, shed_rx) = mpsc::channel();
 
     let shooters: Vec<_> = (0..8)
         .map(|s| {
             let trained = Arc::clone(&trained);
+            let shed_tx = shed_tx.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let rows = probe_rows(8, 900 + s);
@@ -263,6 +277,8 @@ fn overload_sheds_with_503_and_inflight_complete() {
                                 "Retry-After out of range: {retry}"
                             );
                             rejected += 1;
+                            // The test stops listening after the first.
+                            shed_tx.send(()).ok();
                         }
                         other => panic!("unexpected status {other}: {}", response.text()),
                     }
@@ -272,6 +288,10 @@ fn overload_sheds_with_503_and_inflight_complete() {
         })
         .collect();
 
+    // The first 503 shows the queue full behind the parked pass.
+    drop(shed_tx);
+    shed_rx.recv().unwrap();
+    gate.open();
     let rejected: usize = shooters.into_iter().map(|s| s.join().unwrap()).sum();
     let metrics = server.metrics();
     assert_eq!(
@@ -291,19 +311,20 @@ fn overload_sheds_with_503_and_inflight_complete() {
 fn graceful_shutdown_answers_inflight_work() {
     let dir = tmpdir("drain");
     let config = ServeConfig {
-        batch: BatchConfig {
-            max_batch: 64,
-            // A long window: requests are deliberately in-flight when
-            // shutdown begins.
-            max_wait: Duration::from_millis(300),
-            queue_capacity: 1024,
-            workers: 1,
-        },
+        batch: BatchConfig { max_batch: 64, queue_capacity: 1024, workers: 1 },
         cache_rows: 0,
         ..ServeConfig::default()
     };
-    let (server, trained) = boot(&dir, config);
+    // The gate holds the first pass shut until shutdown has begun, so
+    // every request is deliberately in flight then.
+    let gate = Gate::default();
+    let (server, trained) = boot(&dir, config, Some(gate.clone()));
     let addr = server.addr();
+
+    // An idle keep-alive connection: the server closes it only once
+    // shutdown has begun, so reading it to the end waits for that.
+    let mut idle = TcpStream::connect(addr).unwrap();
+    idle.write_all(b"GET /healthz HTTP/1.1\r\nHost: nd-serve\r\n\r\n").unwrap();
 
     let senders: Vec<_> = (0..4)
         .map(|s| {
@@ -327,12 +348,20 @@ fn graceful_shutdown_answers_inflight_work() {
         })
         .collect();
 
-    // Give the requests time to be admitted into the 300ms batch
-    // window, then shut down while they are still pending.
-    std::thread::sleep(Duration::from_millis(100));
-    server.shutdown();
+    // A handler that has read a request answers it, so shutdown
+    // starts once all four are read.
+    let metrics = server.metrics();
+    while metrics.requests_for(Endpoint::Predict) < 4 {
+        std::thread::yield_now();
+    }
+    let stopper = std::thread::spawn(move || server.shutdown());
+    let mut idle_reply = Vec::new();
+    idle.read_to_end(&mut idle_reply).unwrap();
+    assert!(idle_reply.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&idle_reply));
+    gate.open();
     for s in senders {
         s.join().unwrap();
     }
+    stopper.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,16 +5,22 @@
 //! always completes, and predictions must stay bit-identical to
 //! offline inference across shard counts.
 
+use newsdiff::core::checkpoint::save_checkpoint;
 use newsdiff::core::predict::build_mlp;
 use newsdiff::linalg::Mat;
 use newsdiff::serve::loadgen::{boot_fixture, fixture_models, slow_loris};
 use newsdiff::serve::shard::ShardConfig;
-use newsdiff::serve::{BatchConfig, Client, ServeConfig};
+use newsdiff::serve::{BatchConfig, Client, ModelSpec, Registry, ServeConfig, Server};
+use newsdiff::store::Database;
 use serde_json::json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::Gate;
 
 fn tmpdir(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("ndslo-{}-{}", std::process::id(), name));
@@ -25,6 +31,24 @@ fn tmpdir(name: &str) -> PathBuf {
 fn probe_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
     let m = Mat::random_normal(n, dim, 0.0, 1.0, seed);
     (0..n).map(|i| m.row(i).to_vec()).collect()
+}
+
+/// `boot_fixture`'s two models, `m0` and `m1`, with `gate` appended to
+/// each served network (checkpoint and spec alike).
+fn boot_gated_fixture(dir: &Path, dim: usize, config: ServeConfig, gate: &Gate) -> Server {
+    let mut db = Database::open(dir).unwrap();
+    let specs = fixture_models(2)
+        .into_iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let network = build_mlp(dim, 1000 + i as u64).add(gate.clone());
+            save_checkpoint(&mut db, &name, &network).unwrap();
+            let gate = gate.clone();
+            ModelSpec::new(name, dim, move || build_mlp(dim, 0).add(gate.clone()))
+        })
+        .collect();
+    drop(db);
+    Server::start(config, Registry::load(dir, specs, 2).unwrap()).unwrap()
 }
 
 /// Reads the `nd_serve_open_connections` gauge off `/metrics`.
@@ -145,24 +169,23 @@ fn header_flood_is_rejected_and_slot_reclaimed() {
 #[test]
 fn overload_retry_after_is_dynamic_and_accepted_work_completes() {
     let dir = tmpdir("retryafter");
-    // Tiny queue + slow batch window to force shedding.
+    // Tiny queues behind workers parked in their first pass force
+    // shedding until the gate opens.
     let config = ServeConfig {
-        batch: BatchConfig {
-            max_batch: 4,
-            max_wait: Duration::from_millis(40),
-            queue_capacity: 8,
-            workers: 1,
-        },
+        batch: BatchConfig { max_batch: 4, queue_capacity: 8, workers: 1 },
         cache_rows: 0,
         shard: ShardConfig { shards: 2, ..ShardConfig::default() },
         ..ServeConfig::default()
     };
     const DIM: usize = 12;
-    let server = boot_fixture(&dir, 2, DIM, config).unwrap();
+    let gate = Gate::default();
+    let server = boot_gated_fixture(&dir, DIM, config, &gate);
     let addr = server.addr();
+    let (shed_tx, shed_rx) = mpsc::channel();
 
     let workers: Vec<_> = (0..8)
         .map(|c| {
+            let shed_tx = shed_tx.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let rows = probe_rows(6, DIM, 300 + c);
@@ -191,6 +214,8 @@ fn overload_retry_after_is_dynamic_and_accepted_work_completes() {
                             assert_eq!(body["retry_after_s"].as_u64(), Some(retry));
                             assert!(body["queued_rows"].as_u64().is_some(), "{body}");
                             shed += 1;
+                            // The test stops listening after the first.
+                            shed_tx.send(()).ok();
                         }
                         other => panic!("unexpected status {other}: {}", response.text()),
                     }
@@ -200,6 +225,10 @@ fn overload_retry_after_is_dynamic_and_accepted_work_completes() {
         })
         .collect();
 
+    // The first 503 shows a queue full behind its parked pass.
+    drop(shed_tx);
+    shed_rx.recv().unwrap();
+    gate.open();
     let mut total_ok = 0;
     let mut total_shed = 0;
     for w in workers {
