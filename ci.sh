@@ -75,7 +75,7 @@ NEWSDIFF_THREADS=4 cargo test -q --test serve_roundtrip
 echo "==> serving SLO suite (loris cutoff, header flood, dynamic Retry-After, shard bit-identity)"
 NEWSDIFF_THREADS=4 cargo test -q --release --test serve_slo
 
-echo "==> sharded load-generator smoke (closed/open/burst/loris/swap profiles healthy, zero non-503 failures)"
+echo "==> sharded load-generator smoke (closed/open/burst/loris/swap profiles healthy, zero non-503 failures, loris-phase healthy-probe p99 under the 300 ms head deadline)"
 cargo run --release --example loadgen -- --smoke
 
 echo "==> pattern-mining smoke (planted signatures recovered exactly, drift shifts the catalog)"

@@ -134,11 +134,11 @@ fn bench_http_roundtrip(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Per-connection buffer reuse: a keep-alive connection parses every
-/// request after its first into recycled `ConnBufs` allocations, while
-/// a fresh connection pays the TCP handshake plus cold buffers each
-/// time. The gap between the two is the per-request setup cost that
-/// reuse eliminates.
+/// Per-connection setup: a keep-alive connection parses every request
+/// after its first into recycled `ConnBufs` allocations, while a fresh
+/// connection pays the TCP handshake, the spawn of its handler thread
+/// and cold buffers each time. The gap between the two rows is that
+/// whole per-connection cost, not buffer reuse alone.
 fn bench_keepalive_reuse(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("ndbench-keep-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

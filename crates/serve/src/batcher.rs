@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Batching knobs.
 #[derive(Debug, Clone)]
@@ -106,6 +107,9 @@ struct Inner {
     config: BatchConfig,
     metrics: Arc<Metrics>,
     completed: AtomicU64,
+    /// [`fold_pass_rate`]'s EWMA of one worker's rows per second, as
+    /// `f64` bits; 0 until the first pass.
+    pass_rate: AtomicU64,
 }
 
 impl Batcher {
@@ -118,6 +122,7 @@ impl Batcher {
             config,
             metrics,
             completed: AtomicU64::new(0),
+            pass_rate: AtomicU64::new(0),
         });
         let workers = (0..inner.config.workers.max(1))
             .map(|i| {
@@ -158,11 +163,19 @@ impl Batcher {
         self.inner.state.lock().unwrap_or_else(PoisonError::into_inner).queued_rows
     }
 
-    /// Rows whose forward pass has finished since startup. Monotone;
-    /// the shard layer differences it over time to estimate drain
-    /// rate for `Retry-After`.
+    /// Rows whose forward pass has finished since startup (for the
+    /// `/metrics` counter).
     pub fn completed_rows(&self) -> u64 {
         self.inner.completed.load(Ordering::Relaxed)
+    }
+
+    /// Rows per second the workers drain together while busy: the
+    /// per-pass EWMA times the worker count. Idle time is no input, so
+    /// a quiet spell leaves the estimate where the last passes put it.
+    /// 0 before the first pass.
+    pub(crate) fn drain_rate(&self) -> f64 {
+        let per_worker = f64::from_bits(self.inner.pass_rate.load(Ordering::Relaxed));
+        per_worker * self.inner.config.workers.max(1) as f64
     }
 
     /// Closes admission, runs every queued job to completion, and
@@ -257,6 +270,21 @@ fn take_batch(state: &mut State, max_batch: usize) -> Vec<Job> {
     batch
 }
 
+/// Folds one forward pass of `rows` rows that ran for `secs` seconds
+/// into `rate`, an EWMA of rows per second; the first pass sets it. A
+/// pass too short for the clock to time leaves it as it was.
+fn fold_pass_rate(rate: f64, rows: usize, secs: f64) -> f64 {
+    if secs <= 0.0 {
+        return rate;
+    }
+    let pass = rows as f64 / secs;
+    if rate > 0.0 {
+        0.5 * rate + 0.5 * pass
+    } else {
+        pass
+    }
+}
+
 fn run_batch(inner: &Inner, batch: Vec<Job>) {
     let Some(first) = batch.first() else { return };
     let handle = Arc::clone(&first.handle);
@@ -270,8 +298,15 @@ fn run_batch(inner: &Inner, batch: Vec<Job>) {
     // at each caller, which the server maps to a 500 — one bad batch
     // must not take the worker thread down with it.
     let Ok(input) = Mat::from_rows(&all_rows) else { return };
+    let started = Instant::now();
     let output = handle.network.predict_batch(&input);
+    let secs = started.elapsed().as_secs_f64();
     inner.completed.fetch_add(n_rows as u64, Ordering::Relaxed);
+    // Concurrent workers may each fold over the same old value, and
+    // one pass's sample is then lost; the estimate only steers
+    // `Retry-After`.
+    let rate = f64::from_bits(inner.pass_rate.load(Ordering::Relaxed));
+    inner.pass_rate.store(fold_pass_rate(rate, n_rows, secs).to_bits(), Ordering::Relaxed);
     let mut cursor = 0;
     for job in batch {
         let scores: Vec<Vec<f64>> = (cursor..cursor + job.rows.len())
@@ -444,6 +479,24 @@ mod tests {
         for rx in rxs {
             assert_eq!(rx.try_recv().unwrap().len(), 1);
         }
+    }
+
+    #[test]
+    fn pass_rate_reads_the_passes_not_the_idle_time() {
+        // Single-row passes, a quiet spell, then full passes: idle time
+        // is no input to the fold, so the spell cannot dilute the rate
+        // the full passes show.
+        let mut rate = 0.0;
+        for _ in 0..10 {
+            rate = fold_pass_rate(rate, 1, 0.000_5);
+        }
+        assert!((rate - 2_000.0).abs() < 1e-6, "{rate}");
+        for _ in 0..12 {
+            rate = fold_pass_rate(rate, 64, 64.0 / 7_600.0);
+        }
+        assert!((rate - 7_600.0).abs() < 2.0, "{rate}");
+        // A pass too short for the clock leaves the estimate alone.
+        assert_eq!(fold_pass_rate(rate, 8, 0.0), rate);
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! owns one [`ConnBufs`] whose line buffer, header strings, and body
 //! vector are reused across every keep-alive request, so a hot
 //! connection stops paying malloc/free per request after its first.
-//! (`serve_http_keepalive_reuse` in the bench crate measures the
-//! difference.) Slow clients are bounded twice over: the head must
-//! fit [`MAX_HEAD_BYTES`], and a *partially received* request must
-//! finish within [`ReadParams::head_deadline`] — that is what turns a
-//! slow-loris connection into a clean drop instead of a parked
-//! handler thread.
+//! `serve_http_keepalive_reuse` in the bench crate times one cached
+//! predict on a kept-alive connection (`keepalive`) and on a fresh one
+//! (`fresh_conn`); the fresh row adds the TCP handshake, the spawn of
+//! the connection's handler thread and cold buffers, so the gap is the
+//! whole per-connection cost, not buffer reuse alone. Slow clients are
+//! bounded twice over: the head must fit [`MAX_HEAD_BYTES`], and a
+//! *partially received* request must finish within
+//! [`ReadParams::head_deadline`] — that is what turns a slow-loris
+//! connection into a clean drop instead of a parked handler thread.
 
 use serde_json::Value;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};

@@ -14,12 +14,12 @@
 //! - [`http`] — minimal HTTP/1.1 framing (request parsing, response
 //!   writing, keep-alive, read-timeout polling, per-connection buffer
 //!   reuse, slow-loris head deadlines).
-//! - [`server`] — the listener: shard-affine connection pools,
-//!   routing, validation, graceful shutdown, the background
-//!   checkpoint refresher.
+//! - [`server`] — the listener: one handler thread per connection up
+//!   to a fixed cap, routing, validation, graceful shutdown.
 //! - [`shard`] — consistent-hash partitioning of models across
 //!   independent worker groups, each with its own batcher, cache, and
-//!   admission queue; drain-rate-derived `Retry-After`.
+//!   admission queue; `Retry-After` from queue depth over the
+//!   batcher's per-pass drain rate.
 //! - [`cache`] — LRU over exact feature-vector bit patterns; repeat
 //!   queries for trending topics skip the network entirely.
 //! - [`batcher`] — micro-batching: requests queued while a pass runs
@@ -47,7 +47,8 @@
 //! | `GET /models`        | Serving versions and parameter counts      |
 //! | `GET /healthz`       | Liveness                                   |
 //! | `GET /metrics`       | Prometheus-style exposition text           |
-//! | `POST /admin/reload` | Checkpoint refresh + hot swap; with a `run_dir` body, retrain from that cached pipeline run first |
+//! | `GET /patterns`      | Mined pattern catalog (`?category=`, `?limit=`) |
+//! | `POST /admin/reload` | Checkpoint refresh + hot swap; with a `run_dir` body, retrain from that cached pipeline run first; with `{"advance_stream": true}`, fold the next firehose slice and retrain first |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,30 +1,28 @@
-//! The HTTP listener: routing, validation, backpressure, graceful
-//! shutdown, and the background checkpoint refresher.
+//! The HTTP listener: routing, validation, backpressure and graceful
+//! shutdown.
 //!
-//! Threading layout: one non-blocking acceptor polls the listener and
-//! the shutdown flag, round-robining accepted connections into
-//! per-shard handler pools ([`ConnPool`]) — a bounded queue plus a
-//! spawn-on-demand thread set capped at
-//! [`crate::shard::ShardConfig::handlers_per_shard`]. Handlers run the
-//! keep-alive loop with one reusable [`ConnBufs`] per connection.
-//! Predictions route by model name through the [`ShardSet`]'s
-//! consistent-hash ring to that model's shard, whose own batcher and
-//! cache serve it — there is no globally locked queue anywhere on the
-//! request path. An optional refresher thread hot-swaps newer
-//! checkpoints on an interval.
+//! Threading layout: one acceptor blocks in `accept` and gives each
+//! connection its own handler thread, up to `MAX_CONNECTIONS` (256)
+//! open at once. Handlers run the keep-alive loop with one reusable
+//! [`ConnBufs`] per connection. Predictions route by model name
+//! through the [`ShardSet`]'s consistent-hash ring to that model's
+//! shard, whose own batcher and cache serve it, whichever thread read
+//! the request — there is no globally locked queue anywhere on the
+//! request path.
 //!
-//! Admission control is layered: a full per-shard connection backlog
-//! sheds new connections with an immediate best-effort 503; a full
-//! per-shard batcher queue sheds `/predict` with 503 plus a
-//! `Retry-After` estimated from that shard's queue depth and recent
-//! drain rate, and a request that needs more rows admitted than the
-//! whole queue holds gets `413`, since no retry could succeed.
-//! Accepted work is never dropped.
+//! Admission control is layered: a connection past the cap is shed at
+//! the door with an immediate best-effort 503; a full per-shard
+//! batcher queue sheds `/predict` with 503 plus a `Retry-After`
+//! estimated from that shard's queue depth and drain rate, and a
+//! request that needs more rows admitted than the whole queue holds
+//! gets `413`, since no retry could succeed. Accepted work is never
+//! dropped.
 //!
-//! Shutdown order: close the front door (flag + acceptor join), close
-//! the pools and join their handlers (queued connections still get a
-//! response, with `Connection: close`), then drain every shard's
-//! batcher in shard order so every admitted row is answered.
+//! Shutdown order: set the flag and wake the acceptor with one
+//! connection to the bound address; join the acceptor, which returns
+//! once every handler has (a request already read is still answered,
+//! with `Connection: close`); then drain every shard's batcher in
+//! shard order so every admitted row is answered.
 
 use crate::batcher::{BatchConfig, SubmitError};
 use crate::http::{read_request, write_response, write_response_with, ConnBufs, ReadOutcome, ReadParams};
@@ -41,12 +39,11 @@ use nd_core::{RunReport, StageReport};
 use nd_linalg::vecops::argmax;
 use nd_patterns::{symbol_label, PatternCategory};
 use serde_json::{json, Map, Value};
-use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,9 +60,6 @@ pub struct ServeConfig {
     pub cache_rows: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Poll the store for newer checkpoints this often (`None` =
-    /// manual `POST /admin/reload` only).
-    pub refresh_interval: Option<Duration>,
     /// Enables reload-with-retrain: `POST /admin/reload` with a
     /// `run_dir` body re-runs the pipeline against that artifact
     /// cache, retrains these models, and hot-swaps them (`None` =
@@ -76,13 +70,13 @@ pub struct ServeConfig {
     /// the incremental DAG, retrains these models on the new head,
     /// and hot-swaps them (`None` = no stream attached).
     pub stream: Option<StreamRetrainSpec>,
-    /// Shard topology: shard count, replication, handler pools.
+    /// Shard topology: shard count and replication.
     pub shard: ShardConfig,
     /// How long a partially received request may trickle in before
     /// the connection is dropped (the slow-loris bound).
     pub head_deadline: Duration,
     /// Idle keep-alive connections are closed after this long,
-    /// freeing their pool handler for queued connections.
+    /// freeing their handler thread and connection slot.
     pub idle_timeout: Duration,
 }
 
@@ -93,7 +87,6 @@ impl Default for ServeConfig {
             batch: BatchConfig::default(),
             cache_rows: 4096,
             max_body_bytes: 1 << 20,
-            refresh_interval: None,
             retrain: None,
             stream: None,
             shard: ShardConfig::default(),
@@ -103,15 +96,19 @@ impl Default for ServeConfig {
     }
 }
 
-/// How often blocked loops re-check the shutdown flag.
-const POLL: Duration = Duration::from_millis(5);
+/// Most connections served at once, one handler thread each; a
+/// connection past it gets a best-effort 503 at the door. 256 keeps
+/// the capacity of the default 4 shards × 64 pooled handlers that
+/// per-connection threads replaced.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Pause after a failed `accept` (out of file descriptors, say), so
+/// the acceptor retries instead of spinning.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
 
 /// Per-connection read timeout; bounds how long an idle keep-alive
 /// connection can ignore shutdown.
 const READ_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// How long a parked pool handler sleeps between closed-flag checks.
-const PARK_TIMEOUT: Duration = Duration::from_millis(100);
 
 struct Shared {
     registry: Registry,
@@ -143,108 +140,9 @@ impl Shared {
     }
 }
 
-/// One shard's connection pool: a bounded queue of accepted streams
-/// plus handler threads spawned on demand up to a cap. Handlers park
-/// on the condvar between connections, so a warm pool serves a new
-/// connection without a thread spawn.
-struct ConnPool {
-    shard_id: usize,
-    queue: Mutex<VecDeque<TcpStream>>,
-    cond: Condvar,
-    capacity: usize,
-    max_handlers: usize,
-    handlers: AtomicUsize,
-    idle: AtomicUsize,
-    closed: AtomicBool,
-    joins: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl ConnPool {
-    fn new(shard_id: usize, capacity: usize, max_handlers: usize) -> ConnPool {
-        ConnPool {
-            shard_id,
-            queue: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
-            capacity: capacity.max(1),
-            max_handlers: max_handlers.max(1),
-            handlers: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            joins: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Hands an accepted connection to this pool, or sheds it with a
-    /// best-effort 503 when the backlog is full. Called only from the
-    /// acceptor thread.
-    fn dispatch(self: &Arc<ConnPool>, shared: &Arc<Shared>, stream: TcpStream) {
-        let spawn_needed = {
-            let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            if self.closed.load(Ordering::SeqCst) || queue.len() >= self.capacity {
-                drop(queue);
-                shed_connection(stream);
-                return;
-            }
-            queue.push_back(stream);
-            shared.open_conns.fetch_add(1, Ordering::SeqCst);
-            self.idle.load(Ordering::SeqCst) == 0
-                && self.handlers.load(Ordering::SeqCst) < self.max_handlers
-        };
-        self.cond.notify_one();
-        if spawn_needed {
-            self.spawn_handler(shared);
-        }
-    }
-
-    fn spawn_handler(self: &Arc<ConnPool>, shared: &Arc<Shared>) {
-        let n = self.handlers.fetch_add(1, Ordering::SeqCst);
-        if n >= self.max_handlers {
-            self.handlers.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        let pool = Arc::clone(self);
-        let shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("nd-serve-s{}h{}", self.shard_id, n))
-            .spawn(move || handler_loop(&shared, &pool));
-        match spawned {
-            Ok(join) => {
-                self.joins.lock().unwrap_or_else(PoisonError::into_inner).push(join)
-            }
-            Err(_) => {
-                // Thread spawn failed; queued connections will be
-                // picked up by existing handlers (or the next
-                // dispatch's spawn attempt).
-                self.handlers.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Stops accepting new connections and wakes every parked handler
-    /// so the queue drains and the threads exit.
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        self.cond.notify_all();
-    }
-
-    /// Joins all handler threads. Call after [`ConnPool::close`].
-    fn join(&self) {
-        // Take the handles under the lock, join outside it — joining
-        // with the lock held would block a concurrent spawn_handler.
-        let joins: Vec<JoinHandle<()>> = {
-            let mut guard = self.joins.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.drain(..).collect()
-        };
-        for join in joins {
-            // nd-lint: allow(result-dropped) — join only errs if the handler panicked; teardown proceeds
-            let _ = join.join();
-        }
-    }
-}
-
-/// Best-effort 503 for a connection shed at the backlog door. The
-/// write races the client's own send; a client that sees a reset
-/// instead of the reply treats it the same way (retry later).
+/// Best-effort 503 for a connection shed at the door. The write races
+/// the client's own send; a client that sees a reset instead of the
+/// reply treats it the same way (retry later).
 fn shed_connection(mut stream: TcpStream) {
     // nd-lint: allow(result-dropped) — the connection is being dropped either way
     let _ = write_response(
@@ -252,39 +150,9 @@ fn shed_connection(mut stream: TcpStream) {
         503,
         "application/json",
         &[("Retry-After", "1".to_string())],
-        b"{\"error\":\"connection backlog full\"}",
+        b"{\"error\":\"too many connections\"}",
         false,
     );
-}
-
-fn handler_loop(shared: &Arc<Shared>, pool: &Arc<ConnPool>) {
-    loop {
-        let next = {
-            let mut queue = pool.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break Some(stream);
-                }
-                if pool.closed.load(Ordering::SeqCst) {
-                    break None;
-                }
-                pool.idle.fetch_add(1, Ordering::SeqCst);
-                let (guard, _timeout) = pool
-                    .cond
-                    .wait_timeout(queue, PARK_TIMEOUT)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
-                pool.idle.fetch_sub(1, Ordering::SeqCst);
-            }
-        };
-        match next {
-            Some(stream) => {
-                handle_connection(shared, stream);
-                shared.open_conns.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => return,
-        }
-    }
 }
 
 /// A running server. Dropping it signals shutdown; call
@@ -292,16 +160,23 @@ fn handler_loop(shared: &Arc<Shared>, pool: &Arc<ConnPool>) {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    pools: Vec<Arc<ConnPool>>,
     acceptor: Option<JoinHandle<()>>,
-    refresher: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds and starts serving `registry` in background threads.
     pub fn start(config: ServeConfig, registry: Registry) -> Result<Server, ServeError> {
+        Server::start_capped(config, registry, MAX_CONNECTIONS)
+    }
+
+    /// [`Server::start`] with `max_conns` in place of
+    /// [`MAX_CONNECTIONS`], so tests can reach the cap.
+    fn start_capped(
+        config: ServeConfig,
+        registry: Registry,
+        max_conns: usize,
+    ) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics::default());
         let shards =
@@ -323,38 +198,15 @@ impl Server {
             last_slice: Mutex::new(None),
             patterns: Mutex::new(None),
         });
-        let pools: Vec<Arc<ConnPool>> = (0..shared.shards.len())
-            .map(|id| {
-                Arc::new(ConnPool::new(
-                    id,
-                    config.shard.conn_backlog,
-                    config.shard.handlers_per_shard,
-                ))
-            })
-            .collect();
 
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let pools = pools.clone();
             std::thread::Builder::new()
                 .name("nd-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &pools))
+                .spawn(move || accept_loop(&listener, &shared, max_conns))
                 .map_err(ServeError::Io)?
         };
-
-        let refresher = match config.refresh_interval {
-            Some(interval) => {
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("nd-serve-refresh".to_string())
-                    .spawn(move || refresh_loop(&shared, interval))
-                    .map_err(ServeError::Io)?;
-                Some(handle)
-            }
-            None => None,
-        };
-
-        Ok(Server { addr, shared, pools, acceptor: Some(acceptor), refresher })
+        Ok(Server { addr, shared, acceptor: Some(acceptor) })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -385,82 +237,76 @@ impl Server {
     /// Graceful shutdown: stop accepting, let in-flight connections
     /// finish, answer every admitted prediction, join all threads.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            // nd-lint: allow(result-dropped) — join only errs if the thread panicked; shutdown proceeds either way
+        // Handlers see the flag within one read timeout and answer a
+        // request already read with `Connection: close`; the acceptor
+        // returns once every handler has, so joining it is the wait
+        // for in-flight work.
+        if let Some(acceptor) = self.stop_accepting() {
+            // nd-lint: allow(result-dropped) — join only errs if a thread panicked; shutdown proceeds either way
             let _ = acceptor.join();
         }
-        if let Some(refresher) = self.refresher.take() {
-            // nd-lint: allow(result-dropped) — join only errs if the thread panicked; shutdown proceeds either way
-            let _ = refresher.join();
-        }
-        // Handlers see the flag within one read timeout and answer
-        // queued connections with `Connection: close`; joining the
-        // pools is the wait for in-flight work.
-        for pool in &self.pools {
-            pool.close();
-        }
-        for pool in &self.pools {
-            pool.join();
-        }
-        // Belt and braces: the joins above imply open_conns == 0, but
-        // a wedged peer must not turn drain into a hang.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.open_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(POLL);
-        }
         self.shared.shards.drain();
+    }
+
+    /// Sets the shutdown flag and wakes the acceptor blocked in
+    /// `accept`. Returns the acceptor to join, or `None` when it is
+    /// gone already or the wake failed (joining would then block).
+    fn stop_accepting(&mut self) -> Option<JoinHandle<()>> {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        let acceptor = self.acceptor.take()?;
+        wake(self.addr).then_some(acceptor)
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for pool in &self.pools {
-            pool.close();
-        }
+        // The acceptor and its handlers exit on their own once woken.
+        drop(self.stop_accepting());
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pools: &[Arc<ConnPool>]) {
-    let mut rr = 0usize;
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Round-robin across shard pools: connection placement
-                // is load balancing only — predictions still route by
-                // model through the ring, whatever pool reads them.
-                rr = (rr + 1) % pools.len().max(1);
-                match pools.get(rr) {
-                    Some(pool) => pool.dispatch(shared, stream),
-                    None => drop(stream),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
-        }
+/// Wakes an acceptor blocked in `accept` with one throwaway
+/// connection to `addr`, through loopback when the bound IP is a
+/// wildcard (`0.0.0.0`, `::`). Returns whether the connection was made.
+fn wake(mut addr: SocketAddr) -> bool {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr =
+            if addr.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() };
+        addr.set_ip(loopback);
     }
+    TcpStream::connect(addr).is_ok()
 }
 
-fn refresh_loop(shared: &Arc<Shared>, interval: Duration) {
-    let mut last = Instant::now();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(POLL);
-        if last.elapsed() < interval {
+/// Accepts connections until shutdown, one handler thread each, and
+/// sheds a connection at the door while `max_conns` are open. The
+/// handlers run in a thread scope, so this returns only once every one
+/// of them has.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, max_conns: usize) {
+    std::thread::scope(|scope| loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
+            std::thread::sleep(ACCEPT_RETRY);
+            continue;
+        };
+        if shared.open_conns.load(Ordering::SeqCst) >= max_conns {
+            shed_connection(stream);
             continue;
         }
-        last = Instant::now();
-        // A refresh hitting a mid-write store surfaces as Err here and
-        // is retried next tick; serving continues on the old version.
-        if let Ok(events) = shared.registry.refresh() {
-            shared.apply_swaps(&events);
+        shared.open_conns.fetch_add(1, Ordering::SeqCst);
+        let spawned = std::thread::Builder::new()
+            .name("nd-serve-conn".to_string())
+            .spawn_scoped(scope, move || {
+                handle_connection(shared, stream);
+                shared.open_conns.fetch_sub(1, Ordering::SeqCst);
+            });
+        if spawned.is_err() {
+            // No thread: the connection closed with the closure.
+            shared.open_conns.fetch_sub(1, Ordering::SeqCst);
         }
-    }
+    });
 }
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
@@ -716,7 +562,7 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
     // deterministic for a given set of per-shard snapshots.
     let mut merged = HistSnapshot::empty();
     for shard in shared.shards.iter() {
-        let snap = shard.stats.latency.snapshot();
+        let snap = shard.latency.snapshot();
         if snap.count > 0 {
             let id = shard.id.to_string();
             render_quantiles(
@@ -1310,7 +1156,7 @@ fn predict_inner(
     shared.metrics.predictions.add(rows.len() as u64);
     let us = elapsed_us(started);
     shared.metrics.predict_latency_us.observe(us);
-    shard.stats.latency.observe(us);
+    shard.latency.observe(us);
 
     let mut results: Vec<(Vec<f64>, usize)> = Vec::with_capacity(scores.len());
     for s in scores {
@@ -1364,13 +1210,16 @@ mod tests {
     }
 
     fn boot_with(dir: &PathBuf, dim: usize, config: ServeConfig) -> Server {
+        Server::start(config, likes_registry(dir, dim)).unwrap()
+    }
+
+    fn likes_registry(dir: &PathBuf, dim: usize) -> Registry {
         {
             let mut db = Database::open(dir).unwrap();
             save_checkpoint(&mut db, "likes", &build_mlp(dim, 11)).unwrap();
         }
         let spec = ModelSpec::new("likes", dim, move || build_mlp(dim, 0));
-        let registry = Registry::load(dir, vec![spec], 2).unwrap();
-        Server::start(config, registry).unwrap()
+        Registry::load(dir, vec![spec], 2).unwrap()
     }
 
     #[test]
@@ -1400,6 +1249,55 @@ mod tests {
         assert!(text.contains("nd_serve_shard_queue_rows{shard=\"0\"}"), "{text}");
 
         server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn connection_past_the_cap_gets_503_at_the_door() {
+        let dir = tmpdir("cap");
+        let server =
+            Server::start_capped(ServeConfig::default(), likes_registry(&dir, 6), 2).unwrap();
+        let addr = server.addr();
+        // The acceptor takes connections in order and counts each one
+        // before its next `accept`, so two idle connections fill the
+        // cap before a third arrives.
+        let mut held: Vec<TcpStream> =
+            (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let mut third = TcpStream::connect(addr).unwrap();
+        let mut reply = String::new();
+        third.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 503 "), "{reply}");
+        assert!(reply.contains("\r\nRetry-After: 1\r\n"), "{reply}");
+
+        // Closing one frees its slot once its handler has seen the EOF.
+        drop(held.pop());
+        while server.shared.open_conns.load(Ordering::SeqCst) > 1 {
+            std::thread::yield_now();
+        }
+        let mut client = Client::connect(addr).unwrap();
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+
+        drop((held, client));
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shutdown_wakes_an_acceptor_bound_to_the_wildcard_address() {
+        let dir = tmpdir("wildcard");
+        let config = ServeConfig { addr: "0.0.0.0:0".to_string(), ..ServeConfig::default() };
+        let server = boot_with(&dir, 6, config);
+        assert!(server.addr().ip().is_unspecified(), "{}", server.addr());
+        let loopback = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+        let mut client = Client::connect(loopback).unwrap();
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+        drop(client);
+
+        // Returning at all shows the wake reached `accept`; the
+        // acceptor dropped the listener on its way out.
+        server.shutdown();
+        let refused = TcpStream::connect(loopback).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused, "{refused}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

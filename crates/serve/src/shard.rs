@@ -12,7 +12,7 @@
 //! interleaves models fragments every forward pass down to a couple of
 //! rows. Partitioning the queue by model keeps each shard's queue
 //! homogeneous-ish, which restores long runs and therefore large
-//! batches — 64 rows coalesced into 64-row passes run ~5.4x faster
+//! batches — 64 rows coalesced into 64-row passes run ~5.7x faster
 //! than the same rows as 64 single-row passes (median of
 //! `serve_predict_64rows_batch1` over `serve_predict_64rows_batch64`
 //! in `BENCH_serve.json`).
@@ -30,15 +30,10 @@ use crate::metrics::Metrics;
 use crate::ServeError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Virtual nodes per shard on the hash ring. 64 keeps the expected
 /// per-shard load imbalance under ~15% for small shard counts.
 const VNODES: usize = 64;
-
-/// Minimum elapsed time between drain-rate samples; shorter windows
-/// are too noisy to steer Retry-After.
-const DRAIN_SAMPLE_WINDOW: Duration = Duration::from_millis(250);
 
 /// Sharding knobs.
 #[derive(Debug, Clone)]
@@ -49,22 +44,11 @@ pub struct ShardConfig {
     pub replicated: Vec<String>,
     /// Shards serving each replicated model.
     pub replicas: usize,
-    /// Handler threads per shard's connection pool.
-    pub handlers_per_shard: usize,
-    /// Accepted connections queued per shard before the acceptor
-    /// sheds with an immediate 503.
-    pub conn_backlog: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            shards: 4,
-            replicated: Vec::new(),
-            replicas: 2,
-            handlers_per_shard: 64,
-            conn_backlog: 256,
-        }
+        ShardConfig { shards: 4, replicated: Vec::new(), replicas: 2 }
     }
 }
 
@@ -147,36 +131,6 @@ impl Ring {
     }
 }
 
-/// Drain-rate window: samples the shard batcher's completed-row
-/// counter and keeps an EWMA of rows/sec for Retry-After estimates.
-#[derive(Debug)]
-struct DrainWindow {
-    at: Instant,
-    rows: u64,
-    rate: f64,
-}
-
-impl DrainWindow {
-    /// Folds a new (time, completed-rows) sample into the EWMA and
-    /// returns the current rate. Samples closer together than
-    /// [`DRAIN_SAMPLE_WINDOW`] only read the previous estimate.
-    fn observe(&mut self, now: Instant, completed: u64) -> f64 {
-        let dt = now.saturating_duration_since(self.at);
-        if dt >= DRAIN_SAMPLE_WINDOW {
-            let delta = completed.saturating_sub(self.rows) as f64;
-            let instant_rate = delta / dt.as_secs_f64();
-            self.rate = if self.rate > 0.0 {
-                0.5 * self.rate + 0.5 * instant_rate
-            } else {
-                instant_rate
-            };
-            self.at = now;
-            self.rows = completed;
-        }
-        self.rate
-    }
-}
-
 /// Seconds a shedding client should wait: queued work over drain
 /// rate, clamped to `[1, 30]`. With no drain evidence yet (cold shard)
 /// the estimate is optimistic — 1 second — because an idle shard's
@@ -196,24 +150,7 @@ fn retry_after_from(queued_rows: usize, rate: f64) -> u64 {
     }
 }
 
-/// Per-shard instrumentation shared with `/metrics`.
-#[derive(Debug)]
-pub struct ShardStats {
-    /// Predict latency observed by this shard's handlers (µs).
-    pub latency: LatencyHist,
-    drain: Mutex<DrainWindow>,
-}
-
-impl Default for ShardStats {
-    fn default() -> Self {
-        ShardStats {
-            latency: LatencyHist::new(),
-            drain: Mutex::new(DrainWindow { at: Instant::now(), rows: 0, rate: 0.0 }),
-        }
-    }
-}
-
-/// One shard: a batcher, a cache, and its stats.
+/// One shard: a batcher, a cache, and its latency histogram.
 pub struct Shard {
     /// Stable shard index, `0..shards`.
     pub id: usize,
@@ -221,21 +158,16 @@ pub struct Shard {
     pub batcher: Batcher,
     /// This shard's prediction cache.
     pub cache: Mutex<LruCache>,
-    /// Latency histogram and drain-rate window.
-    pub stats: ShardStats,
+    /// Predict latency observed by this shard's requests (µs), shared
+    /// with `/metrics`.
+    pub latency: LatencyHist,
 }
 
 impl Shard {
     /// Current Retry-After estimate (seconds) from this shard's queue
-    /// depth and recent drain rate.
+    /// depth and its batcher's drain rate.
     pub fn retry_after_secs(&self) -> u64 {
-        let queued = self.batcher.queue_depth();
-        let completed = self.batcher.completed_rows();
-        let rate = {
-            let mut w = self.stats.drain.lock().unwrap_or_else(PoisonError::into_inner);
-            w.observe(Instant::now(), completed)
-        };
-        retry_after_from(queued, rate)
+        retry_after_from(self.batcher.queue_depth(), self.batcher.drain_rate())
     }
 }
 
@@ -275,7 +207,7 @@ impl ShardSet {
                 id,
                 batcher,
                 cache: Mutex::new(LruCache::new(per_shard_cache)),
-                stats: ShardStats::default(),
+                latency: LatencyHist::new(),
             }));
         }
         Ok(ShardSet {
@@ -448,21 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_window_ewma_converges() {
-        let t0 = Instant::now();
-        let mut w = DrainWindow { at: t0, rows: 0, rate: 0.0 };
-        // 100 rows over 1s -> first sample sets rate directly.
-        let r1 = w.observe(t0 + Duration::from_secs(1), 100);
-        assert!((r1 - 100.0).abs() < 1e-9, "r1 = {r1}");
-        // 300 more rows over the next second -> EWMA of 100 and 300.
-        let r2 = w.observe(t0 + Duration::from_secs(2), 400);
-        assert!((r2 - 200.0).abs() < 1e-9, "r2 = {r2}");
-        // Too-soon sample does not move the estimate.
-        let r3 = w.observe(t0 + Duration::from_secs(2) + Duration::from_millis(10), 1000);
-        assert!((r3 - 200.0).abs() < 1e-9, "r3 = {r3}");
-    }
-
-    #[test]
     fn shard_set_routes_unreplicated_to_single_owner() {
         let metrics = Arc::new(Metrics::default());
         let set = ShardSet::start(
@@ -484,12 +401,7 @@ mod tests {
     fn shard_set_spills_replicated_models_within_replica_set() {
         let metrics = Arc::new(Metrics::default());
         let set = ShardSet::start(
-            &ShardConfig {
-                shards: 4,
-                replicated: vec!["hot".into()],
-                replicas: 2,
-                ..ShardConfig::default()
-            },
+            &ShardConfig { shards: 4, replicated: vec!["hot".into()], replicas: 2 },
             &BatchConfig::default(),
             64,
             &metrics,

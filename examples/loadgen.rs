@@ -21,8 +21,9 @@
 //! `--requests N` (per client), `--rps N`, `--duration-ms N`,
 //! `--skew S`, `--seed N`. `--smoke` shrinks everything and asserts
 //! the run was healthy: no transport errors or non-503 failures, loris
-//! connections cut, and the swap listed by the reload and served by
-//! `GET /models`.
+//! connections cut, the healthy probe's p99 under the loris phase
+//! below the head deadline, and the swap listed by the reload and
+//! served by `GET /models`.
 
 use newsdiff::core::checkpoint::save_checkpoint;
 use newsdiff::core::predict::build_mlp;
@@ -139,12 +140,13 @@ fn main() {
         .join(format!("nd-loadgen-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
+    // Tight head deadline so the loris profile resolves quickly.
+    let head_deadline = Duration::from_millis(if options.smoke { 300 } else { 1000 });
     let config = ServeConfig {
         batch: BatchConfig { workers: options.workers, ..BatchConfig::default() },
         cache_rows: options.cache_rows,
         shard: ShardConfig { shards: options.shards, ..ShardConfig::default() },
-        // Tight head deadline so the loris profile resolves quickly.
-        head_deadline: Duration::from_millis(if options.smoke { 300 } else { 1000 }),
+        head_deadline,
         ..ServeConfig::default()
     };
     let server = match boot_fixture(&dir, options.models, options.dim, config) {
@@ -223,7 +225,13 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        healthy &= s.errors == 0 && s.ok > 0 && report.dropped == report.opened;
+        // A probe whose p99 reaches the head deadline waited behind a
+        // loris connection until the deadline cut it.
+        let probe_p99 = Duration::from_micros(s.p99_us);
+        healthy &= s.errors == 0
+            && s.ok > 0
+            && report.dropped == report.opened
+            && probe_p99 < head_deadline;
         if options.json {
             println!(
                 "{}",
@@ -291,7 +299,8 @@ fn main() {
     if options.smoke {
         if !healthy {
             eprintln!(
-                "SMOKE FAILED: transport errors, surviving loris connections, or a failed hot swap"
+                "SMOKE FAILED: transport errors, surviving loris connections, a loris-phase \
+                 probe p99 at the head deadline, or a failed hot swap"
             );
             std::process::exit(1);
         }

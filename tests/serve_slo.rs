@@ -123,6 +123,54 @@ fn slow_loris_is_cut_off_without_stalling_serving() {
 }
 
 #[test]
+fn healthy_connection_is_served_while_earlier_connections_stall() {
+    let dir = tmpdir("stalled");
+    let config = ServeConfig {
+        shard: ShardConfig { shards: 2, ..ShardConfig::default() },
+        head_deadline: Duration::from_secs(2),
+        ..ServeConfig::default()
+    };
+    const DIM: usize = 8;
+    let server = boot_fixture(&dir, 2, DIM, config).unwrap();
+    let addr = server.addr();
+
+    // Served-and-closed connections first, one at a time: a server
+    // that parks idle handler threads between connections has some
+    // parked now.
+    for _ in 0..4 {
+        let mut client = Client::connect(addr).unwrap();
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+    }
+    // Connections that start a request head and stall inside it.
+    let stalled: Vec<TcpStream> = (0..6)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(b"POST /predict HTTP/1.1\r\n").unwrap();
+            stream
+        })
+        .collect();
+
+    // The healthy request is answered while every stalled connection
+    // is still open, i.e. before the head deadline cut any of them.
+    let mut client = Client::connect(addr).unwrap();
+    let rows = probe_rows(2, DIM, 11);
+    let response = client.post_json("/predict", &json!({"model": "m1", "rows": rows})).unwrap();
+    assert_eq!(response.status, 200, "{}", response.text());
+    for (i, mut stream) in stalled.iter().enumerate() {
+        stream.set_nonblocking(true).unwrap();
+        let mut byte = [0u8; 1];
+        match stream.read(&mut byte) {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            other => panic!("stalled connection {i} was already ended: {other:?}"),
+        }
+    }
+
+    drop((stalled, client));
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn header_flood_is_rejected_and_slot_reclaimed() {
     let dir = tmpdir("flood");
     let config = ServeConfig {
