@@ -57,14 +57,11 @@ echo "==> clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> nd-lint (workspace invariants: determinism, panic-safety, lock order, error flow)"
-# Cold run: fresh cache, machine-readable JSON + SARIF reports.
-rm -f target/nd-lint.cache
-cargo run -q --release -p nd-lint -- --deny --json --sarif lint_report.sarif > lint_report.json
+cargo run -q --release -p nd-lint -- --deny --json > lint_report.json
 
-echo "==> nd-lint warm incremental run (must be byte-identical to the cold report)"
-cargo run -q --release -p nd-lint -- --deny --json > lint_report.warm.json
-cmp lint_report.json lint_report.warm.json
-rm -f lint_report.warm.json
+echo "==> nd-lint 1-thread run (report must be byte-identical to the default-thread report)"
+NEWSDIFF_THREADS=1 cargo run -q --release -p nd-lint -- --deny --json > target/lint_report.t1.json
+cmp lint_report.json target/lint_report.t1.json
 
 echo "==> determinism suite"
 NEWSDIFF_THREADS=4 cargo test -q --test determinism

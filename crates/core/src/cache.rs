@@ -90,7 +90,9 @@ pub struct StageReport {
     pub fingerprint: u64,
     /// What the executor did.
     pub cache: CacheStatus,
-    /// Wall time of the body or cache replay.
+    /// Wall time of the body or cache replay: the node's own time,
+    /// excluding nested nodes (a fold's predecessor and dependencies),
+    /// which log their own records.
     pub wall_ms: f64,
     /// Serialized artifact payload size (0 when uncached).
     pub bytes: u64,

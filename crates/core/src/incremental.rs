@@ -1039,7 +1039,11 @@ impl Exec<'_> {
             return Ok(());
         }
         let (stage, fp, cache) = (self.graph[si], self.fps[si][k], self.cache);
-        let (value, record) = cache.node(
+        // A fold materializes its own predecessor and dependencies
+        // first, and each of those logs its own record; `nested` marks
+        // where they start so this record keeps only its own time.
+        let nested = self.report.stages.len();
+        let (value, mut record) = cache.node(
             stage.name(),
             Some(k),
             fp,
@@ -1047,6 +1051,8 @@ impl Exec<'_> {
             || self.fold(si, k),
             |v, w| stage.encode(v, w),
         )?;
+        let nested_ms: f64 = self.report.stages[nested..].iter().map(|r| r.wall_ms).sum();
+        record.wall_ms -= nested_ms;
         self.memo.insert((si, k), value);
         self.report.stages.push(record);
         Ok(())
@@ -1154,6 +1160,18 @@ mod tests {
         assert_eq!(a.topics.model.doc_topic.rows(), a.dtm.n_docs());
         assert_eq!(a.vectors.seen_news, a.corpora.news_tm.len());
         assert!(!a.vectors.vectors.is_empty(), "streaming vectors trained");
+    }
+
+    #[test]
+    fn fold_wall_times_exclude_nested_folds() {
+        let (_, report) = StreamPipeline::new(tiny_config()).run(2).expect("run");
+        assert_eq!(report.executed(), 12);
+        let sum: f64 = report.stages.iter().map(|s| s.wall_ms).sum();
+        assert!(
+            sum <= report.total_ms + 1e-6,
+            "fold wall times sum to {sum} ms inside a {} ms run",
+            report.total_ms
+        );
     }
 
     #[test]

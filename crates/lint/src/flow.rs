@@ -134,7 +134,7 @@ const BOUND_METHODS: &[&str] = &[
 
 /// What one function does with locks, calls, and I/O — the unit the
 /// workspace-global pass joins over.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct FnSummary {
     /// Function name (unqualified).
     pub name: String,
@@ -163,7 +163,7 @@ pub struct FnSummary {
 
 /// A `let _ = call(…)` site whose fallibility needs workspace
 /// knowledge: resolved in [`global_pass`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct DropCandidate {
     /// Workspace-relative file.
     pub file: String,
@@ -200,9 +200,9 @@ pub fn suppress(allows: &mut [Allow], f: &Finding) -> bool {
     hit
 }
 
-/// Everything the per-file pass produces. Cacheable: a file's record
-/// depends only on its own contents.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Everything the per-file pass produces. A file's record depends
+/// only on its own contents.
+#[derive(Debug)]
 pub struct FileFlow {
     /// Local findings of all eleven rules' per-file parts, suppressions
     /// already applied, sorted by line, rule and message.

@@ -7,7 +7,7 @@
 //! stdout stays machine-clean for `> lint_report.json`.
 
 use nd_lint::report::prune_baseline;
-use nd_lint::{analyze_workspace_with, AnalyzeOptions, Baseline, RULE_NAMES};
+use nd_lint::{analyze_workspace, Baseline, RULE_NAMES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -16,28 +16,19 @@ struct Args {
     json: bool,
     root: PathBuf,
     allow: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    no_cache: bool,
-    changed: bool,
     prune_baseline: bool,
-    sarif: Option<PathBuf>,
 }
 
 fn usage() -> String {
     format!(
         "nd-lint: workspace invariant analyzer\n\n\
          USAGE: nd-lint [--deny] [--json] [--root DIR] [--allow FILE]\n\
-         \x20               [--cache FILE | --no-cache] [--changed]\n\
-         \x20               [--prune-baseline] [--sarif FILE]\n\n\
+         \x20               [--prune-baseline]\n\n\
          \x20 --deny             exit non-zero on active findings or stale baseline entries\n\
          \x20 --json             print the machine-readable report to stdout\n\
          \x20 --root DIR         workspace root (default: current directory)\n\
          \x20 --allow FILE       baseline file (default: ROOT/lint.allow)\n\
-         \x20 --cache FILE       incremental cache (default: ROOT/target/nd-lint.cache)\n\
-         \x20 --no-cache         analyze everything fresh, touch no cache file\n\
-         \x20 --changed          lint only git-changed files (falls back to full workspace)\n\
-         \x20 --prune-baseline   rewrite the baseline with stale entries removed\n\
-         \x20 --sarif FILE       also write a SARIF 2.1.0 report\n\n\
+         \x20 --prune-baseline   rewrite the baseline with stale entries removed\n\n\
          rules: {}\n\
          suppress one site: `// nd-lint: allow(rule-name)` on the line or the line above",
         RULE_NAMES.join(", ")
@@ -50,31 +41,19 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         root: PathBuf::from("."),
         allow: None,
-        cache: None,
-        no_cache: false,
-        changed: false,
         prune_baseline: false,
-        sarif: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--deny" => args.deny = true,
             "--json" => args.json = true,
-            "--changed" => args.changed = true,
             "--prune-baseline" => args.prune_baseline = true,
-            "--no-cache" => args.no_cache = true,
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
             "--allow" => {
                 args.allow = Some(PathBuf::from(it.next().ok_or("--allow needs a file")?));
-            }
-            "--cache" => {
-                args.cache = Some(PathBuf::from(it.next().ok_or("--cache needs a file")?));
-            }
-            "--sarif" => {
-                args.sarif = Some(PathBuf::from(it.next().ok_or("--sarif needs a file")?));
             }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`\n\n{}", usage())),
@@ -92,20 +71,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let opts = AnalyzeOptions {
-        cache_path: if args.no_cache {
-            None
-        } else {
-            Some(
-                args.cache
-                    .clone()
-                    .unwrap_or_else(|| args.root.join("target/nd-lint.cache")),
-            )
-        },
-        changed_only: args.changed,
-    };
-
-    let (findings, stats) = match analyze_workspace_with(&args.root, &opts) {
+    let (findings, stats) = match analyze_workspace(&args.root) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("nd-lint: failed to scan {}: {e}", args.root.display());
@@ -131,19 +97,15 @@ fn main() -> ExitCode {
         eprintln!("nd-lint: warning: {problem}");
     }
 
-    // `--changed` sees a partial file list, so an entry matching no
-    // finding may simply be out of scope this run: never prune or
-    // hard-error on staleness from a partial view. The same holds for
-    // inline suppressions, whose global findings need every file.
     let level = if args.deny { "error" } else { "warning" };
-    let stale = if args.changed { Vec::new() } else { baseline.stale(&findings) };
-    let unused = if args.changed { &[][..] } else { &stats.unused_allows[..] };
+    let stale = baseline.stale(&findings);
+    let unused = &stats.unused_allows;
     for (file, line, rule) in unused {
         eprintln!(
             "nd-lint: {level}: unused suppression `allow({rule})` at {file}:{line} silences nothing — delete it"
         );
     }
-    if args.prune_baseline && !args.changed {
+    if args.prune_baseline {
         let (new_text, pruned) = prune_baseline(&allow_text, &findings);
         if pruned > 0 {
             if let Err(e) = std::fs::write(&allow_path, &new_text) {
@@ -175,10 +137,8 @@ fn main() -> ExitCode {
         eprintln!("{f}");
     }
     eprintln!(
-        "nd-lint: {} file(s) ({} reparsed, {} cached), {} finding(s), {} baselined, {} active",
+        "nd-lint: {} file(s), {} finding(s), {} baselined, {} active",
         stats.files_scanned,
-        stats.reparsed,
-        stats.cached,
         tagged.len(),
         tagged.len() - active.len(),
         active.len()
@@ -186,14 +146,6 @@ fn main() -> ExitCode {
 
     if args.json {
         print!("{}", nd_lint::report::render_json(&tagged, stats.files_scanned));
-    }
-    if let Some(sarif_path) = &args.sarif {
-        if let Err(e) =
-            std::fs::write(sarif_path, nd_lint::sarif::render_sarif(&tagged))
-        {
-            eprintln!("nd-lint: failed to write {}: {e}", sarif_path.display());
-            return ExitCode::from(2);
-        }
     }
 
     let stale_fails = args.deny && !args.prune_baseline && !stale.is_empty();

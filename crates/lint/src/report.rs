@@ -19,6 +19,14 @@ pub struct AllowEntry {
     pub line: Option<u32>,
 }
 
+impl AllowEntry {
+    /// Does this entry grandfather `f`? The one match rule for
+    /// [`Baseline::covers`], [`Baseline::stale`] and [`prune_baseline`].
+    pub fn covers(&self, f: &Finding) -> bool {
+        self.rule == f.rule && self.file == f.file && self.line.is_none_or(|l| l == f.line)
+    }
+}
+
 /// The parsed baseline plus any problems found while reading it.
 #[derive(Debug, Default)]
 pub struct Baseline {
@@ -66,20 +74,14 @@ impl Baseline {
 
     /// Is `f` grandfathered by some entry?
     pub fn covers(&self, f: &Finding) -> bool {
-        self.entries.iter().any(|e| {
-            e.rule == f.rule && e.file == f.file && e.line.is_none_or(|l| l == f.line)
-        })
+        self.entries.iter().any(|e| e.covers(f))
     }
 
     /// Entries that matched no finding: stale debt worth deleting.
     pub fn stale<'a>(&'a self, findings: &[Finding]) -> Vec<&'a AllowEntry> {
         self.entries
             .iter()
-            .filter(|e| {
-                !findings.iter().any(|f| {
-                    e.rule == f.rule && e.file == f.file && e.line.is_none_or(|l| l == f.line)
-                })
-            })
+            .filter(|e| !findings.iter().any(|f| e.covers(f)))
             .collect()
     }
 }
@@ -101,11 +103,7 @@ pub fn prune_baseline(text: &str, findings: &[Finding]) -> (String, usize) {
         // Re-parse this one line through the normal parser so the
         // live/stale decision matches `Baseline::covers` exactly.
         let one = Baseline::parse(raw);
-        let live = one.entries.first().is_some_and(|e| {
-            findings.iter().any(|f| {
-                e.rule == f.rule && e.file == f.file && e.line.is_none_or(|l| l == f.line)
-            })
-        });
+        let live = one.entries.first().is_some_and(|e| findings.iter().any(|f| e.covers(f)));
         if live {
             out.push_str(raw);
             out.push('\n');
