@@ -63,7 +63,7 @@ echo "==> nd-lint 1-thread run (report must be byte-identical to the default-thr
 NEWSDIFF_THREADS=1 cargo run -q --release -p nd-lint -- --deny --json > target/lint_report.t1.json
 cmp lint_report.json target/lint_report.t1.json
 
-echo "==> determinism suite"
+echo "==> determinism suite (1/2/8-thread kernels; pinned batch and stream digests, the stream head both cold and advanced slice by slice from the held in-memory state)"
 NEWSDIFF_THREADS=4 cargo test -q --test determinism
 
 echo "==> serving round-trip (bit-identity, hot swap, backpressure)"

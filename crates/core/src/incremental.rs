@@ -19,8 +19,11 @@
 //!   **bit-identical** to folding all of `0..=k` cold — the cached
 //!   prefix decodes to exactly the bytes the cold fold would have
 //!   produced in memory;
+//! * folding slice `k` onto the head state a run over `0..k` returned
+//!   ([`StreamPipeline::run_from`]) is bit-identical as well: that
+//!   state holds exactly the values the run computed or decoded;
 //! * the digest of the head state ([`StreamState::content_digest`])
-//!   is invariant to which prefix came from disk and to
+//!   is invariant to which prefix came from disk or memory and to
 //!   `NEWSDIFF_THREADS`.
 //!
 //! ## Per-slice fingerprint chaining
@@ -850,6 +853,12 @@ pub fn fold_stages() -> [&'static dyn FoldStage; 6] {
 pub struct StreamState {
     /// Number of slices folded.
     pub head: usize,
+    /// Each stage's chained fingerprint at slice `head - 1`, in
+    /// [`fold_stages`] order. [`StreamPipeline::run_from`] folds the
+    /// next slice onto this state only where these equal its own chain,
+    /// trusting that the artifacts below are still the ones the run
+    /// that recorded them produced.
+    pub fingerprints: [u64; 6],
     /// Accumulated world.
     pub world: StreamWorld,
     /// Accumulated corpora.
@@ -881,6 +890,18 @@ impl StreamState {
         w.put_usize(self.vectors.seen_news);
         w.put_usize(self.vectors.seen_twitter);
         fnv1a64(w.as_bytes())
+    }
+
+    /// The six head artifacts, in [`fold_stages`] order.
+    fn into_artifacts(self) -> [StreamArtifact; 6] {
+        [
+            StreamArtifact::World(self.world),
+            StreamArtifact::Corpora(self.corpora),
+            StreamArtifact::Dtm(self.dtm),
+            StreamArtifact::Topics(self.topics),
+            StreamArtifact::Events(self.events),
+            StreamArtifact::Vectors(self.vectors),
+        ]
     }
 }
 
@@ -956,6 +977,26 @@ impl StreamPipeline {
     /// [`CoreError::Artifact`] past the horizon or on an unusable
     /// cache directory; fold-body errors propagate unchanged.
     pub fn run(&self, n_slices: usize) -> Result<(StreamState, RunReport)> {
+        self.run_from(n_slices, None)
+    }
+
+    /// [`run`](Self::run), starting from `held`, the head state of an
+    /// earlier run over `n_slices - 1` slices. When `held`'s
+    /// fingerprints equal this pipeline's chain at slice
+    /// `n_slices - 2`, its six artifacts move into the run in place of
+    /// replaying or refolding that slice, so only slice `n_slices - 1`
+    /// folds and nothing is decoded. Any other state, or any state
+    /// under `cache.force`, is dropped unused and the run is exactly
+    /// `run(n_slices)`. The head state is bit-identical either way,
+    /// and every fold still persists its artifact to the cache.
+    ///
+    /// # Errors
+    /// As [`run`](Self::run).
+    pub fn run_from(
+        &self,
+        n_slices: usize,
+        held: Option<StreamState>,
+    ) -> Result<(StreamState, RunReport)> {
         if n_slices == 0 {
             return Err(CoreError::EmptyInput("stream run of zero slices"));
         }
@@ -968,14 +1009,26 @@ impl StreamPipeline {
         let run_start = Instant::now();
         let graph = fold_stages();
         let cache = ArtifactCache::open(&self.config.cache)?;
+        let fps = self.fingerprints(n_slices);
+        let mut memo = HashMap::new();
+        if let (Some(held), Some(k)) = (held, n_slices.checked_sub(2)) {
+            // The chain at slice k keys slice k alone, so a match also
+            // pins the held state's position.
+            let chains = !self.config.cache.force
+                && fps.iter().zip(&held.fingerprints).all(|(chain, &fp)| chain[k] == fp);
+            if chains {
+                let artifacts = held.into_artifacts().into_iter().enumerate();
+                memo.extend(artifacts.map(|(si, artifact)| ((si, k), artifact)));
+            }
+        }
         let mut exec = Exec {
             config: &self.config,
             firehose: &self.firehose,
             graph,
             dep_idx: resolve_deps(&graph),
-            fps: self.fingerprints(n_slices),
+            fps,
             cache: &cache,
-            memo: HashMap::new(),
+            memo,
             slices: HashMap::new(),
             report: RunReport::default(),
         };
@@ -983,9 +1036,11 @@ impl StreamPipeline {
         for si in 0..graph.len() {
             exec.materialize(si, head)?;
         }
+        let fingerprints = std::array::from_fn(|si| exec.fps[si][head]);
         let mut take = |si: usize| exec.memo.remove(&(si, head)).expect("materialized");
         let state = StreamState {
             head: n_slices,
+            fingerprints,
             world: take(0).into_world()?,
             corpora: take(1).into_corpora()?,
             dtm: take(2).into_dtm()?,
@@ -1206,6 +1261,50 @@ mod tests {
         let (cold, _) = cold_pipeline.run(2).expect("cold");
         assert_eq!(state.content_digest(), cold.content_digest());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn folding_from_the_held_head_equals_a_cold_run() {
+        let (cold, _) = StreamPipeline::new(tiny_config()).run(2).expect("cold");
+        let dir = tmpdir("held");
+        for config in [tiny_config(), tiny_config().with_cache_dir(&dir)] {
+            let pipeline = StreamPipeline::new(config);
+            let (held, _) = pipeline.run(1).expect("head 1");
+            let (state, report) = pipeline.run_from(2, Some(held)).expect("advance");
+            assert_eq!(state.content_digest(), cold.content_digest());
+            assert_eq!(report.stages.len(), 6, "{report:?}");
+            assert!(
+                report.stages.iter().all(|s| s.cache == crate::CacheStatus::Miss && s.slice == 1),
+                "only slice 1 may fold, and nothing may replay: {report:?}"
+            );
+            assert_eq!(report.slices_polled, 1);
+            let chain: Vec<u64> = pipeline.fingerprints(2).iter().map(|fps| fps[1]).collect();
+            assert_eq!(state.fingerprints.to_vec(), chain);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_held_state_that_does_not_chain_is_ignored() {
+        let pipeline = StreamPipeline::new(tiny_config());
+        let (head1, _) = pipeline.run(1).expect("head 1");
+        let (head2, _) = pipeline.run(2).expect("head 2");
+        let mut reseeded = tiny_config();
+        reseeded.topic.seed = 1234;
+        let (foreign, _) = StreamPipeline::new(reseeded).run(1).expect("foreign head");
+        let mut forced = tiny_config();
+        forced.cache.force = true;
+        let cases = [
+            ("another config", &pipeline, 2, foreign, &head2),
+            ("the same head", &pipeline, 2, head2.clone(), &head2),
+            ("a later head", &pipeline, 1, head2.clone(), &head1),
+            ("a forced run", &StreamPipeline::new(forced), 2, head1.clone(), &head2),
+        ];
+        for (case, runner, n, held, cold) in cases {
+            let (state, report) = runner.run_from(n, Some(held)).expect("run");
+            assert_eq!(state.content_digest(), cold.content_digest(), "{case}");
+            assert_eq!(report.executed(), 6 * n, "{case} must not seed the run: {report:?}");
+        }
     }
 
     #[test]

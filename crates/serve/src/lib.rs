@@ -31,9 +31,10 @@
 //!   quantile series, mergeable across shards.
 //! - [`retrain`] — the refresh loop behind both reload kinds: re-run
 //!   the staged pipeline from a cached run directory, or fold the
-//!   next firehose slice through the incremental DAG (cached prefix
-//!   replays from disk); then one shared train → checkpoint → swap
-//!   step refits the served models and hot-swaps them.
+//!   next firehose slice through the incremental DAG onto the head
+//!   the previous advance held in memory; then one shared train →
+//!   checkpoint → swap step refits the served models and hot-swaps
+//!   them.
 //! - [`client`] — a small blocking client used by the tests and the
 //!   load generator.
 //! - [`loadgen`] — deterministic closed/open-loop load generation and

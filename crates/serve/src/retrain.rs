@@ -7,13 +7,15 @@
 //!   to feature assembly + network training; a cache dirtied by new
 //!   data or changed knobs recomputes exactly the invalidated cone.
 //! - **Stream** ([`StreamRetrainer::advance`]): `POST /admin/reload
-//!   {"advance_stream": true}` folds the next firehose slice into the
-//!   cached head artifacts (every earlier slice replays from disk) and
-//!   recomputes the cheap projections — trending, correlation, feature
-//!   assembly — over the new head state. They are deliberately *not*
-//!   fold stages: O(events × topics) over the head state, orders of
-//!   magnitude below one NMF refine, so recomputing them per hot-swap
-//!   is cheaper than caching them.
+//!   {"advance_stream": true}` folds the next firehose slice onto the
+//!   head state the previous advance left in memory (the first advance
+//!   after a start, or after a failed one, replays that head from the
+//!   artifact cache instead) and recomputes the cheap projections —
+//!   trending, correlation, feature assembly — over the new head
+//!   state. They are deliberately *not* fold stages: O(events ×
+//!   topics) over the head state, orders of magnitude below one NMF
+//!   refine, so recomputing them per hot-swap is cheaper than caching
+//!   them.
 //!
 //! Both then run the same loop: fit every configured model, checkpoint
 //! it into the registry's store, and hot-swap the registry without
@@ -72,8 +74,10 @@ pub struct RetrainSpec {
 /// Everything the per-slice refresh loop needs.
 #[derive(Debug, Clone)]
 pub struct StreamRetrainSpec {
-    /// Incremental pipeline knobs. A cache directory is required in
-    /// practice — without one every advance folds from slice 0.
+    /// Incremental pipeline knobs. Each advance folds one slice onto
+    /// the head the previous one held; a cache directory keeps that
+    /// head across a restart or a failed advance, and without one the
+    /// first advance after either folds from slice 0.
     pub stream: StreamConfig,
     /// Which feature table to build (paper Table 2).
     pub variant: DatasetVariant,
@@ -166,22 +170,37 @@ pub struct SliceRetrain {
 
 /// The per-slice refresh loop: owns the stream head position and
 /// advances it one firehose slice per call.
+///
+/// Between advances it holds the decoded head [`StreamState`] the last
+/// advance trained on, so the next one folds its slice from memory
+/// instead of decoding six artifacts from disk. That costs one head in
+/// memory for the retrainer's lifetime, growing with the stream: about
+/// twice the head's encoded artifact bytes, ~20 MB of heap at
+/// perfbench's 12-slice freshness head (~10 MB encoded).
 pub struct StreamRetrainer {
     spec: StreamRetrainSpec,
     pipeline: StreamPipeline,
-    head: Mutex<usize>,
+    head: Mutex<Head>,
+}
+
+/// Slices folded so far, and the head state of the last successful
+/// advance (`None` before the first one and after a failed one).
+#[derive(Default)]
+struct Head {
+    slices: usize,
+    state: Option<StreamState>,
 }
 
 impl StreamRetrainer {
     /// Creates the retrainer at head 0 (nothing folded yet).
     pub fn new(spec: StreamRetrainSpec) -> Self {
         let pipeline = StreamPipeline::new(spec.stream.clone());
-        StreamRetrainer { spec, pipeline, head: Mutex::new(0) }
+        StreamRetrainer { spec, pipeline, head: Mutex::new(Head::default()) }
     }
 
     /// Slices folded so far.
     pub fn head(&self) -> usize {
-        *self.head.lock().unwrap_or_else(PoisonError::into_inner)
+        self.head.lock().unwrap_or_else(PoisonError::into_inner).slices
     }
 
     /// Total slices the configured firehose will ever emit.
@@ -189,9 +208,11 @@ impl StreamRetrainer {
         self.spec.stream.firehose.n_slices()
     }
 
-    /// Folds the next firehose slice into the cached head, rebuilds
-    /// the feature dataset from the new head state, retrains and
+    /// Folds the next firehose slice onto the held head, rebuilds the
+    /// feature dataset from the new head state, retrains and
     /// checkpoints every configured model, and hot-swaps the registry.
+    /// On success the new head is held for the next advance; on error
+    /// none is, and the next advance replays its head from the cache.
     ///
     /// Serialized on the head lock: concurrent reloads advance one
     /// slice each, in order.
@@ -202,14 +223,21 @@ impl StreamRetrainer {
     /// checkpoint write fails.
     pub fn advance(&self, registry: &Registry) -> Result<SliceRetrain, ServeError> {
         let mut head = self.head.lock().unwrap_or_else(PoisonError::into_inner);
-        if *head >= self.horizon() {
+        if head.slices >= self.horizon() {
             return Err(ServeError::Config(format!(
                 "firehose exhausted: all {} slices already folded",
                 self.horizon()
             )));
         }
-        let next = *head + 1;
-        let (state, stream) = self.pipeline.run(next)?;
+        let next = head.slices + 1;
+        // The head lock IS the advance serialization: it must span the
+        // fold, the checkpoint write, and the swap, or two concurrent
+        // reloads would race to fold the same slice and double-advance.
+        // It is never taken on the request path — an admin reload
+        // blocking another admin reload is the intended behavior, not a
+        // latency hazard.
+        // nd-lint: allow(lock-order)
+        let (state, stream) = self.pipeline.run_from(next, head.state.take())?;
 
         let started = Instant::now();
         let spec = &self.spec;
@@ -217,19 +245,13 @@ impl StreamRetrainer {
         let (trained, swapped) = if dataset.is_empty() {
             (0, Vec::new())
         } else {
-            // The head lock IS the advance serialization: it must span
-            // the fold, the checkpoint write, and the swap, or two
-            // concurrent reloads would race to fold the same slice and
-            // double-advance. It is never taken on the request path —
-            // an admin reload blocking another admin reload is the
-            // intended behavior, not a latency hazard.
-            // nd-lint: allow(lock-order)
+            // nd-lint: allow(lock-order) — the head lock spans the swap too (see the fold).
             let swapped = train_and_swap(registry, &spec.predict, &spec.models, &dataset)?;
             (spec.models.len(), swapped)
         };
         let train_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        *head = next;
+        *head = Head { slices: next, state: Some(state) };
         Ok(SliceRetrain {
             head: next,
             stream,
@@ -270,4 +292,58 @@ fn head_dataset(spec: &StreamRetrainSpec, state: &StreamState) -> Dataset {
         vectors,
         spec.dataset_seed,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ModelSpec;
+    use nd_core::CacheStatus;
+
+    #[test]
+    fn every_advance_folds_exactly_its_own_slice_without_a_cache() {
+        let db_dir =
+            std::env::temp_dir().join(format!("ndretrain-{}-held", std::process::id()));
+        std::fs::remove_dir_all(&db_dir).ok();
+        // Three 48-hour slices of a small world, with no cache dir: a
+        // slice the retrainer does not hold must refold from slice 0.
+        let mut stream = StreamConfig::small();
+        stream.firehose.world.days = 6;
+        stream.firehose.world.n_users = 60;
+        stream.firehose.world.min_influencers = 6;
+        stream.topic.max_iter = 40;
+        stream.refine_iters = 12;
+        stream.embed_dim = 8;
+        stream.embed_epochs = 1;
+        let dim = stream.embed_dim;
+        let build = move || NetworkKind::Mlp1.build(dim, 7);
+        {
+            let mut db = Database::open(&db_dir).expect("open store");
+            save_checkpoint(&mut db, "likes", &build()).expect("seed checkpoint");
+        }
+        let specs = vec![ModelSpec::new("likes", dim, build)];
+        let registry = Registry::load(&db_dir, specs, 2).expect("registry");
+        let retrainer = StreamRetrainer::new(StreamRetrainSpec {
+            stream,
+            variant: DatasetVariant::A1,
+            predict: PredictConfig::default(),
+            models: Vec::new(),
+            dataset_seed: 11,
+            trending_threshold: 0.3,
+            correlation_threshold: 0.3,
+        });
+        assert_eq!(retrainer.horizon(), 3);
+        for k in 0..retrainer.horizon() {
+            let slice = retrainer.advance(&registry).expect("advance");
+            assert_eq!(slice.head, k + 1);
+            let report = &slice.stream;
+            assert_eq!(report.stages.len(), 6, "advance {k}: {report:?}");
+            assert!(
+                report.stages.iter().all(|s| s.cache == CacheStatus::Miss && s.slice == k),
+                "advance {k} must fold only slice {k}: {report:?}"
+            );
+            assert_eq!(report.slices_polled, 1);
+        }
+        std::fs::remove_dir_all(&db_dir).ok();
+    }
 }

@@ -83,7 +83,8 @@ struct NmfScratch {
     wtw: Mat,
     /// `WᵀWH` (k×m) — denominator of the H update.
     wtwh: Mat,
-    /// `Hᵀ` (m×k); needed by the sparse `AHᵀ` product.
+    /// `Hᵀ` (m×k); needed by the sparse `AHᵀ` product, and its row j
+    /// is the objective's contiguous copy of column j of H.
     ht: Mat,
     /// `AHᵀ` (n×k) — numerator of the W update.
     aht: Mat,
@@ -180,7 +181,10 @@ impl Nmf {
         let mut prev_obj = f64::INFINITY;
         let mut iterations = 0;
         let mut s = NmfScratch::new();
-        let mut objective = objective_value(a, &w, &h, a_fro2, &mut s);
+        w.gram_into(&mut s.gemm, &mut s.wtw);
+        h.transpose_into(&mut s.ht);
+        h.matmul_transpose_into(&h, &mut s.gemm, &mut s.hht);
+        let mut objective = objective_value(a, &w, &s, a_fro2);
 
         // Factor shapes are invariant across the whole loop (W is
         // n×k, H is k×m), so validate them once here and use the
@@ -192,9 +196,9 @@ impl Nmf {
         for it in 0..self.config.max_iter {
             iterations = it + 1;
 
-            // H <- H .* (W^T A) ./ (W^T W H)
+            // H <- H .* (W^T A) ./ (W^T W H); s.wtw already holds WᵀW,
+            // computed for the objective since W last changed.
             a.transpose_matmul_dense_t_into(&w, &mut s.wta); // fused (AᵀW)ᵀ, k x m
-            w.gram_into(&mut s.gemm, &mut s.wtw); // k x k
             s.wtw.matmul_unchecked_into(&h, &mut s.gemm, &mut s.wtwh);
             update_factor(&mut h, &s.wta, &s.wtwh);
 
@@ -205,7 +209,9 @@ impl Nmf {
             w.matmul_unchecked_into(&s.hht, &mut s.gemm, &mut s.whht);
             update_factor(&mut w, &s.aht, &s.whht);
 
-            objective = objective_value(a, &w, &h, a_fro2, &mut s);
+            // H has not changed since s.ht and s.hht were computed.
+            w.gram_into(&mut s.gemm, &mut s.wtw); // k x k
+            objective = objective_value(a, &w, &s, a_fro2);
             if prev_obj.is_finite() {
                 let rel = (prev_obj - objective).abs() / prev_obj.max(EPS);
                 if rel < self.config.tol {
@@ -249,9 +255,10 @@ fn update_factor(x: &mut Mat, num: &Mat, den: &Mat) {
 
 /// `||A - WH||_F^2` computed without densifying `A`:
 /// `||A||² - 2·<A, WH> + ||WH||²`, with `<A, WH>` accumulated over the
-/// sparse entries and `||WH||² = tr((WᵀW)(HHᵀ))`. The small `k×k`
-/// products land in the shared scratch workspace.
-fn objective_value(a: &CsrMatrix, w: &Mat, h: &Mat, a_fro2: f64, s: &mut NmfScratch) -> f64 {
+/// sparse entries and `||WH||² = tr((WᵀW)(HHᵀ))`. Reads `Hᵀ`, `WᵀW`
+/// and `HHᵀ` from the scratch workspace, which must hold them for the
+/// current `W` and `H`.
+fn objective_value(a: &CsrMatrix, w: &Mat, s: &NmfScratch, a_fro2: f64) -> f64 {
     // <A, WH>: document chunks run in parallel, partial sums combine
     // in chunk order so the value is reproducible at any thread count.
     let k = w.cols();
@@ -267,10 +274,10 @@ fn objective_value(a: &CsrMatrix, w: &Mat, h: &Mat, a_fro2: f64, s: &mut NmfScra
             for i in range {
                 let wrow = w.row(i);
                 for (j, v) in a.row(i).iter() {
-                    // Strided column view of H: no per-entry allocation.
+                    // Row j of Hᵀ is column j of H, contiguous.
                     let wh: f64 =
                         // nd-lint: allow(fp-reduction-order) — serial zip over one row; order fixed.
-                        wrow.iter().zip(h.col_view(j).iter()).map(|(&wv, hv)| wv * hv).sum();
+                        wrow.iter().zip(s.ht.row(j)).map(|(&wv, &hv)| wv * hv).sum();
                     c += v * wh;
                 }
             }
@@ -280,8 +287,6 @@ fn objective_value(a: &CsrMatrix, w: &Mat, h: &Mat, a_fro2: f64, s: &mut NmfScra
     )
     .unwrap_or(0.0);
     // ||WH||^2 = tr((W^T W)(H H^T))
-    w.gram_into(&mut s.gemm, &mut s.wtw);
-    h.matmul_transpose_into(h, &mut s.gemm, &mut s.hht);
     let mut wh_fro2 = 0.0;
     for i in 0..s.wtw.rows() {
         for j in 0..s.wtw.cols() {

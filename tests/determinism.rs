@@ -390,6 +390,40 @@ fn stream_head_digest_matches_reference_bits() {
     std::env::remove_var("NEWSDIFF_THREADS");
 }
 
+/// The serving loop folds each slice onto the head state the previous
+/// advance held in memory; advancing slice by slice that way must land
+/// on the same pinned bits as the cold run above.
+#[test]
+#[cfg_attr(
+    not(all(target_arch = "x86_64", target_feature = "fma")),
+    ignore = "reference digest recorded from the x86-64-v3 (FMA) build"
+)]
+fn stream_head_advanced_from_memory_matches_reference_bits() {
+    use newsdiff::core::incremental::{StreamConfig, StreamPipeline};
+    let _guard = ENV_LOCK.lock().unwrap();
+    let pipeline = StreamPipeline::new(StreamConfig::small());
+    for threads in ["1", "2", "8"] {
+        std::env::set_var("NEWSDIFF_THREADS", threads);
+        let (mut head, _) = pipeline.run(1).expect("stream run");
+        for n in 2..=7 {
+            let (next, report) = pipeline.run_from(n, Some(head)).expect("stream advance");
+            assert_eq!(
+                report.executed(),
+                6,
+                "advance to head {n} at {threads} threads refolded more than its slice"
+            );
+            head = next;
+        }
+        let digest = head.content_digest();
+        assert_eq!(
+            digest, STREAM_SMALL_7_DIGEST,
+            "7-slice stream head advanced from memory, digest {digest:016x} at {threads} \
+             threads, moved off the reference bits"
+        );
+    }
+    std::env::remove_var("NEWSDIFF_THREADS");
+}
+
 #[test]
 fn neural_layers_are_thread_count_invariant() {
     let input = random_mat(24, 40, 19);
