@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: build, test, lint, and the cross-thread-count
-# determinism suite. Mirrors what a PR must pass.
+# Local CI gate: build, test (the cross-thread-count determinism suite
+# runs inside the workspace tests), lint. Mirrors what a PR must pass.
 #
 # NEWSDIFF_THREADS=4 forces the parallel paths on even on small CI
 # machines; the determinism suite then pins 1/2/8-thread runs against
@@ -50,7 +50,11 @@ if [[ -n $wrong || $fresh != *'"failed":0'* ]]; then
     exit 1
 fi
 
-echo "==> tests (workspace)"
+echo "==> tests (workspace; includes the determinism suite and the serving round-trip suite)"
+# determinism: 1/2/8-thread kernels, pinned batch and stream digests,
+# the stream head both cold and advanced slice by slice from the held
+# in-memory state. serve_roundtrip: bit-identity, hot swap,
+# backpressure. Both run here once; `set -e` stops at the first failure.
 NEWSDIFF_THREADS=4 cargo test -q --workspace
 
 echo "==> clippy"
@@ -62,12 +66,6 @@ cargo run -q --release -p nd-lint -- --deny --json > lint_report.json
 echo "==> nd-lint 1-thread run (report must be byte-identical to the default-thread report)"
 NEWSDIFF_THREADS=1 cargo run -q --release -p nd-lint -- --deny --json > target/lint_report.t1.json
 cmp lint_report.json target/lint_report.t1.json
-
-echo "==> determinism suite (1/2/8-thread kernels; pinned batch and stream digests, the stream head both cold and advanced slice by slice from the held in-memory state)"
-NEWSDIFF_THREADS=4 cargo test -q --test determinism
-
-echo "==> serving round-trip (bit-identity, hot swap, backpressure)"
-NEWSDIFF_THREADS=4 cargo test -q --test serve_roundtrip
 
 echo "==> serving SLO suite (loris cutoff, header flood, dynamic Retry-After, shard bit-identity)"
 NEWSDIFF_THREADS=4 cargo test -q --release --test serve_slo

@@ -336,7 +336,7 @@ fn bench_layers_scaling(c: &mut Criterion) {
             std::env::set_var("NEWSDIFF_THREADS", t);
             let mut layer = Dense::new(256, 128, 20);
             bch.iter(|| {
-                let out = layer.forward(black_box(&dense_in), true);
+                let out = layer.forward(black_box(&dense_in));
                 black_box(layer.backward(&out))
             });
         });
@@ -344,7 +344,7 @@ fn bench_layers_scaling(c: &mut Criterion) {
             std::env::set_var("NEWSDIFF_THREADS", t);
             let mut layer = Conv1d::new(300, 5, 16, 21);
             bch.iter(|| {
-                let out = layer.forward(black_box(&conv_in), true);
+                let out = layer.forward(black_box(&conv_in));
                 black_box(layer.backward(&out))
             });
         });

@@ -38,17 +38,15 @@ pub fn fingerprint(
     chain_fingerprint(&words)
 }
 
-/// Artifact-cache controls. Neither contributes to fingerprints: they
-/// steer *whether* cached artifacts are used, not *what* is computed.
+/// Artifact-cache control. It does not contribute to fingerprints: it
+/// steers *whether* cached artifacts are used, not *what* is computed.
+/// A cold run is a run over an empty directory.
 #[derive(Debug, Clone, Default)]
 pub struct CacheConfig {
     /// Run directory holding `<id>-<fingerprint>.art` files. `None`
     /// disables caching (every node recomputes in memory, nothing is
     /// persisted).
     pub dir: Option<PathBuf>,
-    /// Recompute every node even on a cache hit (cold run); results
-    /// still overwrite the cache.
-    pub force: bool,
 }
 
 /// Cache disposition of one node in one run.
@@ -58,8 +56,6 @@ pub enum CacheStatus {
     Hit,
     /// No usable cached artifact; the body executed.
     Miss,
-    /// `force` demanded recomputation; the body executed.
-    Forced,
 }
 
 impl CacheStatus {
@@ -68,13 +64,12 @@ impl CacheStatus {
         match self {
             CacheStatus::Hit => "hit",
             CacheStatus::Miss => "miss",
-            CacheStatus::Forced => "forced",
         }
     }
 
     /// Whether the node body executed.
     pub fn executed(self) -> bool {
-        self != CacheStatus::Hit
+        self == CacheStatus::Miss
     }
 }
 
@@ -121,7 +116,7 @@ impl RunReport {
         self.stages.iter().find(|s| s.stage == stage && s.slice == slice)
     }
 
-    /// How many node bodies executed (misses + forced).
+    /// How many node bodies executed (the misses).
     pub fn executed(&self) -> usize {
         self.stages.iter().filter(|s| s.cache.executed()).count()
     }
@@ -171,11 +166,10 @@ pub(crate) fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// An opened [`CacheConfig`]: the artifact store (absent when caching
-/// is off) plus the force flag.
+/// An opened [`CacheConfig`]: the artifact store, absent when caching
+/// is off.
 pub(crate) struct ArtifactCache {
     store: Option<ArtifactStore>,
-    force: bool,
 }
 
 impl ArtifactCache {
@@ -185,7 +179,7 @@ impl ArtifactCache {
             Some(dir) => Some(ArtifactStore::open(dir)?),
             None => None,
         };
-        Ok(ArtifactCache { store, force: config.force })
+        Ok(ArtifactCache { store })
     }
 
     /// The store backing this cache, when caching is on.
@@ -198,7 +192,7 @@ impl ArtifactCache {
     /// A cached artifact is usable only when it decodes fully:
     /// truncation, codec drift, or trailing bytes after decode all read
     /// as misses and fall through to `run`, whose output overwrites the
-    /// cache. `force` skips the probe.
+    /// cache.
     ///
     /// # Errors
     /// Errors from `run` propagate unchanged; encode or save failures
@@ -217,7 +211,6 @@ impl ArtifactCache {
         let replayed = self
             .store
             .as_ref()
-            .filter(|_| !self.force)
             .and_then(|store| store.load(&id, fingerprint))
             .and_then(|payload| {
                 let mut r = ByteReader::new(&payload);
@@ -235,8 +228,7 @@ impl ArtifactCache {
                     bytes = w.len() as u64;
                     store.save(&id, fingerprint, w.as_bytes())?;
                 }
-                let cache = if self.force { CacheStatus::Forced } else { CacheStatus::Miss };
-                (value, cache, bytes)
+                (value, CacheStatus::Miss, bytes)
             }
         };
         let report = StageReport {

@@ -985,10 +985,10 @@ impl StreamPipeline {
     /// fingerprints equal this pipeline's chain at slice
     /// `n_slices - 2`, its six artifacts move into the run in place of
     /// replaying or refolding that slice, so only slice `n_slices - 1`
-    /// folds and nothing is decoded. Any other state, or any state
-    /// under `cache.force`, is dropped unused and the run is exactly
-    /// `run(n_slices)`. The head state is bit-identical either way,
-    /// and every fold still persists its artifact to the cache.
+    /// folds and nothing is decoded. Any other state is dropped unused
+    /// and the run is exactly `run(n_slices)`. The head state is
+    /// bit-identical either way, and every fold still persists its
+    /// artifact to the cache.
     ///
     /// # Errors
     /// As [`run`](Self::run).
@@ -1014,9 +1014,7 @@ impl StreamPipeline {
         if let (Some(held), Some(k)) = (held, n_slices.checked_sub(2)) {
             // The chain at slice k keys slice k alone, so a match also
             // pins the held state's position.
-            let chains = !self.config.cache.force
-                && fps.iter().zip(&held.fingerprints).all(|(chain, &fp)| chain[k] == fp);
-            if chains {
+            if fps.iter().zip(&held.fingerprints).all(|(chain, &fp)| chain[k] == fp) {
                 let artifacts = held.into_artifacts().into_iter().enumerate();
                 memo.extend(artifacts.map(|(si, artifact)| ((si, k), artifact)));
             }
@@ -1194,7 +1192,6 @@ mod tests {
         // Cache knobs never fingerprint.
         let mut cached = tiny_config();
         cached.cache.dir = Some(PathBuf::from("/tmp/x"));
-        cached.cache.force = true;
         assert_eq!(fps, StreamPipeline::new(cached).fingerprints(2));
     }
 
@@ -1292,32 +1289,16 @@ mod tests {
         let mut reseeded = tiny_config();
         reseeded.topic.seed = 1234;
         let (foreign, _) = StreamPipeline::new(reseeded).run(1).expect("foreign head");
-        let mut forced = tiny_config();
-        forced.cache.force = true;
         let cases = [
             ("another config", &pipeline, 2, foreign, &head2),
             ("the same head", &pipeline, 2, head2.clone(), &head2),
             ("a later head", &pipeline, 1, head2.clone(), &head1),
-            ("a forced run", &StreamPipeline::new(forced), 2, head1.clone(), &head2),
         ];
         for (case, runner, n, held, cold) in cases {
             let (state, report) = runner.run_from(n, Some(held)).expect("run");
             assert_eq!(state.content_digest(), cold.content_digest(), "{case}");
             assert_eq!(report.executed(), 6 * n, "{case} must not seed the run: {report:?}");
         }
-    }
-
-    #[test]
-    fn force_refolds_everything() {
-        let dir = tmpdir("force");
-        let mut config = tiny_config().with_cache_dir(&dir);
-        let pipeline = StreamPipeline::new(config.clone());
-        pipeline.run(2).expect("seed");
-        config.cache.force = true;
-        let (_, report) = StreamPipeline::new(config).run(2).expect("forced");
-        assert_eq!(report.executed(), 12);
-        assert!(report.stages.iter().all(|f| f.cache == crate::CacheStatus::Forced));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

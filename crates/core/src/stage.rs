@@ -21,7 +21,7 @@
 //! the world seed re-fingerprints every stage, while editing
 //! `correlation_threshold` re-fingerprints only `correlation` and
 //! `features`, and a mining knob re-fingerprints only `patterns`.
-//! Cache-control knobs ([`crate::cache::CacheConfig`]) are
+//! The cache directory ([`crate::cache::CacheConfig`]) is
 //! deliberately excluded.
 
 use crate::correlate::{correlate, correlate_reverse, CorrelationOutput};
@@ -637,7 +637,6 @@ mod tests {
     fn cache_knobs_do_not_fingerprint() {
         let config = PipelineConfig::small();
         let mut cached = config.clone();
-        cached.cache.force = true;
         cached.cache.dir = Some(std::path::PathBuf::from("/tmp/x"));
         for stage in stages() {
             assert_eq!(

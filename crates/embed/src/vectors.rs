@@ -1,6 +1,6 @@
 //! Word-vector lookup table.
 
-use nd_linalg::vecops::{cosine, normalize};
+use nd_linalg::vecops::cosine;
 use std::collections::HashMap;
 
 /// A trained word-embedding table: `word → dense vector`.
@@ -103,14 +103,6 @@ impl WordVectors {
         });
         scored.truncate(k);
         scored
-    }
-
-    /// ℓ²-normalizes every vector in place (useful before bulk cosine
-    /// scans, which then reduce to dot products).
-    pub fn normalize_all(&mut self) {
-        for row in 0..self.index.len() {
-            normalize(&mut self.data[row * self.dim..(row + 1) * self.dim]);
-        }
     }
 
     /// Removes the common component: subtracts the mean vector from
@@ -216,15 +208,5 @@ mod tests {
         let mut wv = WordVectors::new(4);
         wv.center();
         assert!(wv.is_empty());
-    }
-
-    #[test]
-    fn normalize_all_unit_norm() {
-        let mut wv = table();
-        wv.normalize_all();
-        for (_, v) in wv.iter() {
-            let n: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-            assert!((n - 1.0).abs() < 1e-12);
-        }
     }
 }

@@ -235,6 +235,7 @@ impl Word2Vec {
         // --- Unigram^0.75 table for negative sampling.
         // nd-lint: allow(fp-reduction-order) — serial sum over the sorted vocab; order fixed by construction.
         let pow_sum: f64 = vocab.iter().map(|&(_, c)| (c as f64).powf(0.75)).sum();
+        // nd-lint: allow(hot-loop-alloc) — prologue, built once per training run.
         let mut table = Vec::with_capacity(UNIGRAM_TABLE_SIZE);
         {
             let mut i = 0usize;
@@ -262,6 +263,7 @@ impl Word2Vec {
                 }
             }
         }
+        // nd-lint: allow(hot-loop-alloc) — prologue, built once per training run.
         let mut syn1: Vec<f64> = vec![0.0; v * cfg.dim];
 
         // --- Keep-probability for subsampling.
@@ -292,6 +294,7 @@ impl Word2Vec {
         // Raw-token prefix sums drive the linear learning-rate decay;
         // the schedule must not depend on stochastic subsampling
         // outcomes or on which thread reached a sentence first.
+        // nd-lint: allow(hot-loop-alloc) — prologue, built once per training run.
         let mut sent_offsets = Vec::with_capacity(encoded.len());
         let mut acc = 0usize;
         for sent in &encoded {

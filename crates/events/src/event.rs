@@ -29,11 +29,6 @@ impl Event {
         v
     }
 
-    /// Terms joined by spaces — the form the correlation module embeds.
-    pub fn term_string(&self) -> String {
-        self.all_terms().join(" ")
-    }
-
     /// `true` when `ts` falls inside the event period.
     pub fn contains_time(&self, ts: u64) -> bool {
         ts >= self.start && ts < self.end
@@ -103,11 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn all_terms_and_string() {
+    fn all_terms_main_word_first() {
         let e = event();
         assert_eq!(e.all_terms()[0], "brexit");
         assert_eq!(e.all_terms().len(), 6);
-        assert!(e.term_string().starts_with("brexit vote"));
     }
 
     #[test]

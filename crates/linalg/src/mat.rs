@@ -148,11 +148,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Reshapes to `rows x cols` in place and zero-fills, reusing the
     /// existing allocation whenever capacity allows.
     ///
@@ -446,36 +441,12 @@ impl Mat {
         self.map(|v| v * scalar)
     }
 
-    /// In-place scalar multiplication.
-    pub fn scale_assign(&mut self, scalar: f64) {
-        for v in &mut self.data {
-            *v *= scalar;
-        }
-    }
-
     /// Returns a new matrix with `f` applied to every entry.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Mat {
         Mat {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Applies `f` to every entry in place.
-    pub fn map_assign(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
-    /// Clamps every entry below `min` up to `min` (used to keep NMF
-    /// factors strictly non-negative in the face of rounding).
-    pub fn clamp_min_assign(&mut self, min: f64) {
-        for v in &mut self.data {
-            if *v < min {
-                *v = min;
-            }
         }
     }
 
@@ -521,22 +492,6 @@ impl Mat {
             .sum())
     }
 
-    /// Per-row sums.
-    pub fn row_sums(&self) -> Vec<f64> {
-        self.row_iter().map(|r| r.iter().sum()).collect()
-    }
-
-    /// Per-column sums.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.cols];
-        for row in self.row_iter() {
-            for (s, &v) in sums.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        sums
-    }
-
     /// Index of the maximum entry in row `i` (ties resolve to the first).
     ///
     /// # Errors
@@ -562,22 +517,6 @@ impl Mat {
         idx.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap_or(std::cmp::Ordering::Equal));
         idx.truncate(k);
         idx
-    }
-
-    /// Extracts a contiguous block of rows `[start, end)` as a new matrix.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::OutOfBounds`] when `end > rows` or
-    /// `start > end`.
-    pub fn row_block(&self, start: usize, end: usize) -> Result<Mat> {
-        if end > self.rows || start > end {
-            return Err(LinalgError::OutOfBounds { index: end, bound: self.rows + 1 });
-        }
-        Ok(Mat {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        })
     }
 
     /// Stacks two matrices vertically.
@@ -617,22 +556,6 @@ impl Mat {
             data.extend_from_slice(right.row(i));
         }
         Ok(Mat { rows: self.rows, cols, data })
-    }
-
-    /// Normalizes every row to unit ℓ² norm; rows with zero norm are left
-    /// untouched.
-    pub fn normalize_rows(&mut self) {
-        let cols = self.cols;
-        for i in 0..self.rows {
-            let row = &mut self.data[i * cols..(i + 1) * cols];
-            // nd-lint: allow(fp-reduction-order) — serial sum over one row in storage order.
-            let norm = row.iter().map(|v| v * v).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                for v in row {
-                    *v /= norm;
-                }
-            }
-        }
     }
 
     /// `A^T * A` without materializing the transpose.
@@ -826,10 +749,8 @@ mod tests {
     }
 
     #[test]
-    fn sums_and_argmax() {
+    fn row_argmax_and_top_k() {
         let m = mat2x3();
-        assert_eq!(m.row_sums(), vec![6.0, 15.0]);
-        assert_eq!(m.col_sums(), vec![5.0, 7.0, 9.0]);
         assert_eq!(m.row_argmax(0).unwrap(), 2);
         assert_eq!(m.row_top_k(1, 2), vec![2, 1]);
     }
@@ -851,24 +772,6 @@ mod tests {
         assert_eq!(h.get(0, 3), 1.0);
         assert!(m.vstack(&Mat::zeros(1, 2)).is_err());
         assert!(m.hstack(&Mat::zeros(3, 1)).is_err());
-    }
-
-    #[test]
-    fn row_block_extraction() {
-        let m = mat2x3();
-        let b = m.row_block(1, 2).unwrap();
-        assert_eq!(b.shape(), (1, 3));
-        assert_eq!(b.row(0), m.row(1));
-        assert!(m.row_block(1, 5).is_err());
-    }
-
-    #[test]
-    fn normalize_rows_unit_norm_and_zero_row_safe() {
-        let mut m = Mat::from_vec(2, 2, vec![3.0, 4.0, 0.0, 0.0]).unwrap();
-        m.normalize_rows();
-        let n0: f64 = m.row(0).iter().map(|v| v * v).sum::<f64>().sqrt();
-        assert!((n0 - 1.0).abs() < 1e-12);
-        assert_eq!(m.row(1), &[0.0, 0.0]);
     }
 
     #[test]
@@ -899,14 +802,9 @@ mod tests {
     }
 
     #[test]
-    fn map_scale_clamp() {
-        let mut m = mat2x3();
-        let doubled = m.scale(2.0);
+    fn scale_multiplies_every_entry() {
+        let doubled = mat2x3().scale(2.0);
         assert_eq!(doubled.get(0, 1), 4.0);
-        m.map_assign(|v| -v);
-        m.clamp_min_assign(-2.0);
-        assert_eq!(m.get(1, 2), -2.0);
-        assert_eq!(m.get(0, 0), -1.0);
     }
 
     #[test]

@@ -121,12 +121,6 @@ impl SplitMix64 {
         let x = u.powf(-1.0 / (alpha - 1.0));
         (x.round() as u64).min(max).max(1)
     }
-
-    /// Derives an independent child generator; convenient for giving
-    /// each synthetic entity its own stream.
-    pub fn fork(&mut self, tag: u64) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
 }
 
 #[cfg(test)]
@@ -229,13 +223,5 @@ mod tests {
         let small = samples.iter().filter(|&&v| v < 100).count();
         assert!(small as f64 / samples.len() as f64 > 0.9, "power law should be bottom-heavy");
         assert!(samples.iter().any(|&v| v > 1_000), "tail should reach large values");
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SplitMix64::new(1);
-        let mut a = parent.fork(1);
-        let mut b = parent.fork(2);
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

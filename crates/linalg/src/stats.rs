@@ -25,36 +25,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
-/// Pearson correlation coefficient between two equal-length series.
-///
-/// Returns `0.0` when either series is constant (zero variance) or the
-/// series are shorter than 2, mirroring how MABED treats uninformative
-/// candidate words.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    debug_assert_eq!(xs.len(), ys.len());
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let (mx, my) = (mean(xs), mean(ys));
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return 0.0;
-    }
-    (cov / (vx * vy).sqrt()).clamp(-1.0, 1.0)
-}
-
 /// Erdem et al. (2014) first-order correlation coefficient between two
 /// bivariate time series, the `rho` of paper Eq. (10).
 ///
@@ -173,29 +143,13 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
         assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_singleton_safe() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
-        assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
         assert_eq!(erdem_rho(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|v| -v).collect();
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_series_is_zero() {
-        assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
     }
 
     #[test]

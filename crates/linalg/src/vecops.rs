@@ -41,12 +41,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// ℓ¹ norm (sum of absolute values).
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).sum()
-}
-
 /// Scales `a` in place to unit ℓ² norm; a zero vector is left unchanged.
 pub fn normalize(a: &mut [f64]) {
     let n = norm2(a);
@@ -68,13 +62,6 @@ pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
         return 0.0;
     }
     (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
-}
-
-/// Euclidean distance.
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    // nd-lint: allow(fp-reduction-order) — serial zip in slice order; never parallelized.
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
 }
 
 /// `y += alpha * x`, the BLAS `axpy` kernel.
@@ -130,14 +117,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
     Some(best)
 }
 
-/// Indices of the `k` largest elements, descending by value.
-pub fn top_k(a: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..a.len()).collect();
-    idx.sort_by(|&x, &y| a[y].partial_cmp(&a[x]).unwrap_or(std::cmp::Ordering::Equal));
-    idx.truncate(k);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +125,6 @@ mod tests {
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(norm1(&[-1.0, 2.0]), 3.0);
     }
 
     #[test]
@@ -175,11 +153,6 @@ mod tests {
         let b = [1.2, 0.4, -0.1];
         let scaled: Vec<f64> = b.iter().map(|v| v * 42.0).collect();
         assert!((cosine(&a, &b) - cosine(&a, &scaled)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn euclidean_known() {
-        assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -219,11 +192,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_and_topk() {
+    fn argmax_first_on_ties() {
         assert_eq!(argmax(&[1.0, 5.0, 3.0]), Some(1));
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[2.0, 2.0]), Some(0));
-        assert_eq!(top_k(&[1.0, 5.0, 3.0], 2), vec![1, 2]);
-        assert_eq!(top_k(&[1.0], 5), vec![0]);
     }
 }

@@ -22,9 +22,8 @@
 //! Every run is one cold pass over the whole workspace
 //! ([`analyze_workspace`]): files fan out through nd-par and merge in
 //! file order, so the report is byte-identical at any thread count.
-//! See `DESIGN.md` §10/§15 for the rule catalogue, the suppression
-//! syntax (`// nd-lint: allow(rule-name)`), and the `lint.allow`
-//! baseline workflow.
+//! See `DESIGN.md` §10/§15 for the rule catalogue and the one
+//! suppression mechanism, an inline `// nd-lint: allow(rule-name)`.
 //!
 //! Run it as `cargo run -p nd-lint -- --deny` (the CI form) or with
 //! `--json` for the machine-readable report.
@@ -39,7 +38,6 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 
-pub use report::{AllowEntry, Baseline};
 pub use rules::{scope_for, FileScope, Finding, RULE_NAMES};
 
 use std::collections::BTreeMap;

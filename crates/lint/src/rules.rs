@@ -9,9 +9,8 @@
 //! cannot see: the bodies of `impl` blocks for `*Scratch` types and
 //! the iterable of every `for` loop. No rule infers types or resolves
 //! names; each is a heuristic tuned to this workspace's idioms, with
-//! escape hatches for what it cannot see: `// nd-lint: allow(rule)` on
-//! the finding's line or the line above, and the checked-in
-//! `lint.allow` baseline for grandfathered findings.
+//! one escape hatch for what it cannot see: `// nd-lint: allow(rule)`
+//! on the finding's line or the line above.
 //!
 //! | Rule                 | Scope ([`scope_for`])              | Catches |
 //! |----------------------|------------------------------------|---------|
@@ -52,7 +51,7 @@ const HOT_LOOP_FILES: &[&str] = &[
     "crates/vectorize/src/incremental.rs",
 ];
 
-/// Every rule name, for `--help` and baseline validation.
+/// Every rule name, for `--help` and suppression validation.
 pub const RULE_NAMES: &[&str] = &[
     "nondet-time",
     "nondet-hash-iter",

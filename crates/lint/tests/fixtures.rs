@@ -5,7 +5,6 @@
 //! but they are never compiled — `file_flow` is purely syntactic.
 
 use nd_lint::flow::{file_flow, global_pass};
-use nd_lint::Baseline;
 
 /// A path inside a determinism-scoped kernel crate.
 const KERNEL: &str = "crates/neural/src/fixture.rs";
@@ -175,16 +174,4 @@ fn suppression_comment_silences_one_site() {
     let mismatched =
         bad.replace("let t = Instant::now();", "let t = Instant::now(); // nd-lint: allow(panic-path)");
     assert_eq!(rules(KERNEL, &mismatched), ["nondet-time"]);
-}
-
-#[test]
-fn baseline_covers_fixture_finding() {
-    let bad = include_str!("fixtures/nondet_time_bad.rs");
-    let finding = &file_flow(KERNEL, bad).findings[0];
-    let by_line = Baseline::parse("nondet-time crates/neural/src/fixture.rs:5\n");
-    assert!(by_line.covers(finding));
-    let whole_file = Baseline::parse("nondet-time crates/neural/src/fixture.rs\n");
-    assert!(whole_file.covers(finding));
-    let other = Baseline::parse("nondet-time crates/neural/src/other.rs\n");
-    assert!(!other.covers(finding));
 }

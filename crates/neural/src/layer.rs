@@ -1,8 +1,10 @@
 //! Network layers with hand-derived backward passes.
 //!
-//! Every layer implements [`Layer`]: `forward` caches whatever the
-//! backward pass needs, `backward` consumes the upstream gradient and
-//! returns the downstream one while accumulating parameter gradients.
+//! Every layer implements [`Layer`] with two forward passes:
+//! `forward` is the training pass and caches whatever the backward pass
+//! needs, `forward_infer` is the inference pass and touches no state.
+//! `backward` consumes the upstream gradient and returns the downstream
+//! one while accumulating parameter gradients.
 //! Parameters and their gradients are exposed as flat slices so any
 //! [`crate::optimizer::Optimizer`] can update them uniformly.
 
@@ -11,11 +13,12 @@ use nd_linalg::Mat;
 
 /// A differentiable network layer.
 pub trait Layer {
-    /// Forward pass over a batch (`rows` = samples). When `training`
-    /// is true the layer caches activations for `backward`.
-    fn forward(&mut self, input: &Mat, training: bool) -> Mat;
+    /// Training forward pass over a batch (`rows` = samples): caches
+    /// activations for `backward` and, for [`Dropout`], draws a fresh
+    /// mask.
+    fn forward(&mut self, input: &Mat) -> Mat;
 
-    /// Inference-only forward pass: no activation caching, no gradient
+    /// Inference forward pass: no activation caching, no gradient
     /// state touched. Taking `&self` lets a frozen layer stack be
     /// shared across threads (the serving path runs concurrent
     /// forward passes over one `Arc`-held network).
@@ -104,11 +107,9 @@ impl ActivationLayer {
 }
 
 impl Layer for ActivationLayer {
-    fn forward(&mut self, input: &Mat, training: bool) -> Mat {
+    fn forward(&mut self, input: &Mat) -> Mat {
         let out = self.forward_infer(input);
-        if training {
-            self.cached_output = out.clone();
-        }
+        self.cached_output = out.clone();
         out
     }
 
@@ -167,12 +168,9 @@ impl Dense {
 const GRAD_CHUNK: usize = 16;
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Mat, training: bool) -> Mat {
-        let out = self.forward_infer(input);
-        if training {
-            self.cached_input = input.clone();
-        }
-        out
+    fn forward(&mut self, input: &Mat) -> Mat {
+        self.cached_input = input.clone();
+        self.forward_infer(input)
     }
 
     fn forward_infer(&self, input: &Mat) -> Mat {
@@ -335,12 +333,9 @@ impl Conv1d {
 }
 
 impl Layer for Conv1d {
-    fn forward(&mut self, input: &Mat, training: bool) -> Mat {
-        let out = self.forward_infer(input);
-        if training {
-            self.cached_input = input.clone();
-        }
-        out
+    fn forward(&mut self, input: &Mat) -> Mat {
+        self.cached_input = input.clone();
+        self.forward_infer(input)
     }
 
     fn forward_infer(&self, input: &Mat) -> Mat {
@@ -547,10 +542,7 @@ impl MaxPool1d {
 }
 
 impl Layer for MaxPool1d {
-    fn forward(&mut self, input: &Mat, training: bool) -> Mat {
-        if !training {
-            return self.pool(input, None);
-        }
+    fn forward(&mut self, input: &Mat) -> Mat {
         let batch = input.rows();
         // Reuse the cached argmax buffer across training steps.
         let mut argmax = std::mem::take(&mut self.cached_argmax);
@@ -635,8 +627,8 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Mat, training: bool) -> Mat {
-        if !training || self.rate == 0.0 {
+    fn forward(&mut self, input: &Mat) -> Mat {
+        if self.rate == 0.0 {
             return input.clone();
         }
         self.forward_train(input)
@@ -675,7 +667,7 @@ mod tests {
     /// Numerical-vs-analytic gradient check for a layer, using the sum
     /// of outputs as the scalar loss (so dL/d(output) is all ones).
     fn check_param_gradients(layer: &mut dyn Layer, input: &Mat, tol: f64) {
-        let out = layer.forward(input, true);
+        let out = layer.forward(input);
         let ones = Mat::filled(out.rows(), out.cols(), 1.0);
         layer.zero_grads();
         layer.backward(&ones);
@@ -685,9 +677,9 @@ mod tests {
         for (p, &a) in analytic.iter().enumerate() {
             let orig = layer.params()[p];
             layer.params_mut()[p] = orig + eps;
-            let plus = layer.forward(input, false).sum();
+            let plus = layer.forward_infer(input).sum();
             layer.params_mut()[p] = orig - eps;
-            let minus = layer.forward(input, false).sum();
+            let minus = layer.forward_infer(input).sum();
             layer.params_mut()[p] = orig;
             let numeric = (plus - minus) / (2.0 * eps);
             assert!(
@@ -699,7 +691,7 @@ mod tests {
 
     /// Numerical check of the input gradient.
     fn check_input_gradients(layer: &mut dyn Layer, input: &Mat, tol: f64) {
-        let out = layer.forward(input, true);
+        let out = layer.forward(input);
         let ones = Mat::filled(out.rows(), out.cols(), 1.0);
         layer.zero_grads();
         let grad_in = layer.backward(&ones);
@@ -710,9 +702,9 @@ mod tests {
             for j in 0..input.cols() {
                 let orig = x.get(i, j);
                 x.set(i, j, orig + eps);
-                let plus = layer.forward(&x, false).sum();
+                let plus = layer.forward_infer(&x).sum();
                 x.set(i, j, orig - eps);
-                let minus = layer.forward(&x, false).sum();
+                let minus = layer.forward_infer(&x).sum();
                 x.set(i, j, orig);
                 let numeric = (plus - minus) / (2.0 * eps);
                 assert!(
@@ -730,7 +722,7 @@ mod tests {
         d.params_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
         // W = [[1,2],[3,4]], b = [0.5,-0.5]; x = [1, 1] -> [4.5, 5.5]
         let x = Mat::from_vec(1, 2, vec![1.0, 1.0]).unwrap();
-        let y = d.forward(&x, false);
+        let y = d.forward_infer(&x);
         assert_eq!(y.row(0), &[4.5, 5.5]);
     }
 
@@ -747,7 +739,7 @@ mod tests {
         let mut c = Conv1d::new(4, 2, 1, 0);
         c.params_mut().copy_from_slice(&[1.0, -1.0, 0.0]); // filter [1,-1], bias 0
         let x = Mat::from_vec(1, 4, vec![3.0, 1.0, 4.0, 1.0]).unwrap();
-        let y = c.forward(&x, false);
+        let y = c.forward_infer(&x);
         // positions: 3-1=2, 1-4=-3, 4-1=3
         assert_eq!(y.row(0), &[2.0, -3.0, 3.0]);
         assert_eq!(c.out_len(), 3);
@@ -765,7 +757,7 @@ mod tests {
     fn maxpool_forward_and_routing() {
         let mut p = MaxPool1d::new(1, 4, 2);
         let x = Mat::from_vec(1, 4, vec![1.0, 5.0, 2.0, 3.0]).unwrap();
-        let y = p.forward(&x, true);
+        let y = p.forward(&x);
         assert_eq!(y.row(0), &[5.0, 3.0]);
         // Gradient routes to the argmax positions only.
         let g = Mat::from_vec(1, 2, vec![10.0, 20.0]).unwrap();
@@ -775,19 +767,19 @@ mod tests {
 
     #[test]
     fn maxpool_partial_window() {
-        let mut p = MaxPool1d::new(1, 5, 2);
+        let p = MaxPool1d::new(1, 5, 2);
         assert_eq!(p.out_len(), 3);
         let x = Mat::from_vec(1, 5, vec![1.0, 2.0, 3.0, 4.0, 9.0]).unwrap();
-        let y = p.forward(&x, false);
+        let y = p.forward_infer(&x);
         assert_eq!(y.row(0), &[2.0, 4.0, 9.0]);
     }
 
     #[test]
     fn maxpool_multifilter_layout() {
-        let mut p = MaxPool1d::new(2, 2, 2);
+        let p = MaxPool1d::new(2, 2, 2);
         // filter 0 map [1, 7], filter 1 map [4, 2]
         let x = Mat::from_vec(1, 4, vec![1.0, 7.0, 4.0, 2.0]).unwrap();
-        let y = p.forward(&x, false);
+        let y = p.forward_infer(&x);
         assert_eq!(y.row(0), &[7.0, 4.0]);
     }
 
@@ -802,16 +794,16 @@ mod tests {
 
     #[test]
     fn relu_clamps_negative() {
-        let mut l = ActivationLayer::new(Activation::Relu);
+        let l = ActivationLayer::new(Activation::Relu);
         let x = Mat::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
-        assert_eq!(l.forward(&x, false).row(0), &[0.0, 0.0, 2.0]);
+        assert_eq!(l.forward_infer(&x).row(0), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn sigmoid_range() {
-        let mut l = ActivationLayer::new(Activation::Sigmoid);
+        let l = ActivationLayer::new(Activation::Sigmoid);
         let x = Mat::random_normal(2, 5, 0.0, 3.0, 8);
-        let y = l.forward(&x, false);
+        let y = l.forward_infer(&x);
         assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
@@ -838,16 +830,16 @@ mod tests {
 
     #[test]
     fn dropout_identity_at_inference() {
-        let mut d = Dropout::new(0.5, 1);
+        let d = Dropout::new(0.5, 1);
         let x = Mat::random_normal(3, 5, 0.0, 1.0, 2);
-        assert_eq!(d.forward(&x, false), x);
+        assert_eq!(d.forward_infer(&x), x);
     }
 
     #[test]
     fn dropout_zeroes_and_rescales_in_training() {
         let mut d = Dropout::new(0.5, 7);
         let x = Mat::filled(50, 20, 1.0);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
         let scaled = y.as_slice().iter().filter(|&&v| (v - 2.0).abs() < 1e-12).count();
         assert_eq!(zeros + scaled, 1000, "entries are either dropped or rescaled");
@@ -861,7 +853,7 @@ mod tests {
     fn dropout_backward_uses_same_mask() {
         let mut d = Dropout::new(0.3, 9);
         let x = Mat::filled(4, 6, 1.0);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let g = d.backward(&Mat::filled(4, 6, 1.0));
         // Gradient flows exactly where activations survived.
         for (yv, gv) in y.as_slice().iter().zip(g.as_slice()) {

@@ -112,15 +112,6 @@ impl ConfusionMatrix {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Macro-averaged F1.
-    pub fn macro_f1(&self) -> f64 {
-        if self.k == 0 {
-            return 0.0;
-        }
-        // nd-lint: allow(fp-reduction-order) — serial sum over class indices 0..k.
-        (0..self.k).map(|c| self.f1(c)).sum::<f64>() / self.k as f64
-    }
 }
 
 /// Convenience: plain accuracy of predictions against truth.
@@ -141,7 +132,6 @@ mod tests {
         let cm = ConfusionMatrix::from_labels(3, &[0, 1, 2, 0], &[0, 1, 2, 0]);
         assert_eq!(cm.accuracy(), 1.0);
         assert_eq!(cm.average_accuracy(), 1.0);
-        assert_eq!(cm.macro_f1(), 1.0);
     }
 
     #[test]

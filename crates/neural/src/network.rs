@@ -92,7 +92,7 @@ impl Network {
         let mut x = input.clone();
         for layer in &mut self.layers {
             layer.zero_grads();
-            x = layer.forward(&x, true);
+            x = layer.forward(&x);
         }
         let (loss_value, mut grad) = self.loss.compute(&x, labels);
         // Backward.

@@ -72,11 +72,6 @@ impl PatternEvent {
     }
 }
 
-/// Returns the symbol's event tag (high 16 bits).
-pub fn symbol_tag(sym: u32) -> u32 {
-    sym >> 16
-}
-
 /// Returns the symbol's topic id (low 16 bits).
 pub fn symbol_topic(sym: u32) -> u16 {
     (sym & 0xFFFF) as u16

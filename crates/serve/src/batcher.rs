@@ -392,7 +392,7 @@ mod tests {
             assert_eq!(rx.recv().unwrap(), vec![offline.row(0).to_vec()], "row {i}");
         }
         assert_eq!(metrics.batches.get(), 1, "16 queued singles run as one pass");
-        assert_eq!(metrics.batch_rows.sum(), 16);
+        assert_eq!(metrics.batch_rows.snapshot().sum, 16);
         batcher.drain();
     }
 
@@ -456,7 +456,7 @@ mod tests {
             assert_eq!(rx.recv().unwrap(), vec![offline.row(0).to_vec()], "row {i}");
         }
         assert_eq!(metrics.batches.get(), 3, "one pass per same-model run");
-        assert_eq!(metrics.batch_rows.sum(), 6);
+        assert_eq!(metrics.batch_rows.snapshot().sum, 6);
         batcher.drain();
     }
 

@@ -1,7 +1,9 @@
-//! Log-bucketed latency histograms over plain atomics.
+//! Log-bucketed latency histograms over plain atomics: nd-serve's one
+//! histogram type.
 //!
 //! The serving tier needs p50/p99/p999 *per shard and per endpoint*
-//! without putting a lock on the request path. Each histogram is a
+//! without putting a lock on the request path (the micro-batcher's
+//! rows per forward pass use the same grid). Each histogram is a
 //! fixed array of 256 relaxed `AtomicU64` buckets on a log-linear
 //! grid (4 sub-buckets per power of two, values in microseconds), so
 //! `observe` is one index computation plus three `fetch_add`s — no

@@ -1,5 +1,6 @@
-//! Service metrics: lock-free counters and log-scale histograms,
-//! rendered at `GET /metrics` in a Prometheus-style text format.
+//! Service metrics: lock-free counters and log-bucketed histograms
+//! ([`LatencyHist`]), rendered at `GET /metrics` in a Prometheus-style
+//! text format.
 //!
 //! Everything is `AtomicU64` with relaxed ordering — metrics are
 //! advisory and must never contend with the request path.
@@ -26,55 +27,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A fixed-bucket histogram (cumulative `le` buckets, like
-/// Prometheus).
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: &'static [u64],
-    counts: Vec<AtomicU64>, // one per bound, plus +Inf
-    sum: AtomicU64,
-    total: AtomicU64,
-}
-
-impl Histogram {
-    /// Creates a histogram over ascending `bounds`.
-    pub fn new(bounds: &'static [u64]) -> Self {
-        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram { bounds, counts, sum: AtomicU64::new(0), total: AtomicU64::new(0) }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, value: u64) {
-        let idx =
-            self.bounds.iter().position(|&b| value <= b).unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    fn render(&self, out: &mut String, name: &str) {
-        let mut cumulative = 0;
-        for (i, bound) in self.bounds.iter().enumerate() {
-            cumulative += self.counts[i].load(Ordering::Relaxed);
-            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
-        }
-        cumulative += self.counts[self.bounds.len()].load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-        let _ = writeln!(out, "{name}_sum {}", self.sum());
-        let _ = writeln!(out, "{name}_count {}", self.count());
     }
 }
 
@@ -126,13 +78,6 @@ impl Endpoint {
     }
 }
 
-/// Request latency buckets (microseconds).
-const LATENCY_BOUNDS: &[u64] =
-    &[50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 500_000];
-
-/// Micro-batch fill buckets (rows per forward pass).
-const BATCH_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
-
 /// All metrics for one server instance.
 #[derive(Debug)]
 pub struct Metrics {
@@ -154,10 +99,8 @@ pub struct Metrics {
     pub model_swaps: Counter,
     /// Checkpoints pruned after swaps.
     pub checkpoints_pruned: Counter,
-    /// `/predict` end-to-end latency (µs).
-    pub predict_latency_us: Histogram,
     /// Rows per forward pass.
-    pub batch_rows: Histogram,
+    pub batch_rows: LatencyHist,
     /// Per-endpoint latency (µs) on the fine log-linear grid, for the
     /// p50/p99/p999 quantile series.
     endpoint_latency: [LatencyHist; 7],
@@ -175,8 +118,7 @@ impl Default for Metrics {
             cache_misses: Counter::default(),
             model_swaps: Counter::default(),
             checkpoints_pruned: Counter::default(),
-            predict_latency_us: Histogram::new(LATENCY_BOUNDS),
-            batch_rows: Histogram::new(BATCH_BOUNDS),
+            batch_rows: LatencyHist::new(),
             endpoint_latency: std::array::from_fn(|_| LatencyHist::new()),
         }
     }
@@ -201,11 +143,6 @@ impl Metrics {
     /// Records one end-to-end latency observation for `endpoint`.
     pub fn observe_latency(&self, endpoint: Endpoint, us: u64) {
         self.endpoint_latency[endpoint.index()].observe(us);
-    }
-
-    /// Snapshot of `endpoint`'s latency histogram, for quantiles.
-    pub fn latency_snapshot(&self, endpoint: Endpoint) -> HistSnapshot {
-        self.endpoint_latency[endpoint.index()].snapshot()
     }
 
     /// Renders the exposition text. `gauges` carries point-in-time
@@ -241,8 +178,7 @@ impl Metrics {
         for (name, counter) in scalars {
             let _ = writeln!(out, "{name} {}", counter.get());
         }
-        self.predict_latency_us.render(&mut out, "nd_serve_predict_latency_us");
-        self.batch_rows.render(&mut out, "nd_serve_batch_rows");
+        render_quantiles(&mut out, "nd_serve_batch_rows", &[], &self.batch_rows.snapshot());
         for e in Endpoint::ALL {
             let snap = self.endpoint_latency[e.index()].snapshot();
             if snap.count == 0 {
@@ -301,22 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_cumulative() {
-        let h = Histogram::new(&[10, 100, 1000]);
-        for v in [5, 50, 500, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 5555);
-        let mut out = String::new();
-        h.render(&mut out, "x");
-        assert!(out.contains("x_bucket{le=\"10\"} 1"), "{out}");
-        assert!(out.contains("x_bucket{le=\"100\"} 2"));
-        assert!(out.contains("x_bucket{le=\"1000\"} 3"));
-        assert!(out.contains("x_bucket{le=\"+Inf\"} 4"));
-    }
-
-    #[test]
     fn endpoint_quantile_series_rendered() {
         let m = Metrics::default();
         for us in [100u64, 200, 300, 400, 50_000] {
@@ -330,8 +250,12 @@ mod tests {
         assert!(text.contains("nd_serve_latency_us_count{endpoint=\"predict\"} 5"), "{text}");
         // Endpoints with no traffic emit nothing.
         assert!(!text.contains("endpoint=\"reload\",quantile"), "{text}");
-        let snap = m.latency_snapshot(Endpoint::Predict);
-        assert!(snap.quantile(0.99) >= 50_000, "p99 covers the outlier");
+        let p99: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("nd_serve_latency_us{endpoint=\"predict\",quantile=\"0.99\"} "))
+            .and_then(|v| v.parse().ok())
+            .expect("predict p99 line");
+        assert!(p99 >= 50_000, "p99 covers the outlier: {p99}");
     }
 
     #[test]

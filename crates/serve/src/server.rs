@@ -1154,9 +1154,7 @@ fn predict_inner(
     }
 
     shared.metrics.predictions.add(rows.len() as u64);
-    let us = elapsed_us(started);
-    shared.metrics.predict_latency_us.observe(us);
-    shard.latency.observe(us);
+    shard.latency.observe(elapsed_us(started));
 
     let mut results: Vec<(Vec<f64>, usize)> = Vec::with_capacity(scores.len());
     for s in scores {
@@ -1332,6 +1330,34 @@ mod tests {
         let metrics = client.get("/metrics").unwrap();
         let text = metrics.text();
         assert!(text.contains("nd_serve_predict_quantiles_us{quantile=\"0.99\"}"), "{text}");
+
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn each_predict_is_observed_once_per_series_and_no_bucket_series_renders() {
+        let dir = tmpdir("observed");
+        let server = boot(&dir, 6);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let n = 5;
+        for i in 0..n {
+            let features: Vec<f64> = (0..6).map(|j| (i * 6 + j) as f64 * 0.1).collect();
+            let response = client.post_json("/predict", &json!({"features": features})).unwrap();
+            assert_eq!(response.status, 200, "{}", response.text());
+        }
+        // One connection: its handler observes each predict's latency
+        // before it reads the scrape.
+        let text = client.get("/metrics").unwrap().text();
+        let value = |series: &str| -> Option<u64> {
+            let line = text.lines().find(|l| l.starts_with(series))?;
+            line.rsplit(' ').next()?.parse().ok()
+        };
+        assert_eq!(value("nd_serve_predict_quantiles_us_count{"), Some(n), "{text}");
+        assert_eq!(value("nd_serve_latency_us_count{endpoint=\"predict\"}"), Some(n), "{text}");
+        // No series carries an `le` bucket label (`model="` also ends
+        // in `le="`, so match the label name at a label boundary).
+        assert!(!text.contains("{le=\"") && !text.contains(",le=\""), "{text}");
 
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();

@@ -16,16 +16,6 @@ pub fn day_of_week(ts: u64) -> u8 {
     ((ts / DAY + 3) % 7) as u8
 }
 
-/// `true` for Saturday/Sunday.
-pub fn is_weekend(ts: u64) -> bool {
-    day_of_week(ts) >= 5
-}
-
-/// Hour of day (0–23).
-pub fn hour_of_day(ts: u64) -> u8 {
-    ((ts % DAY) / HOUR) as u8
-}
-
 /// Renders a timestamp as `YYYY-MM-DD HH:MM:SS` (UTC, proleptic
 /// Gregorian) for report output.
 pub fn format_ts(ts: u64) -> String {
@@ -67,20 +57,6 @@ mod tests {
     fn may_2019_starts_wednesday() {
         // 2019-05-01 was a Wednesday (weekday 2).
         assert_eq!(day_of_week(MAY_2019), 2);
-    }
-
-    #[test]
-    fn weekend_detection() {
-        // 2019-05-04 was a Saturday.
-        assert!(is_weekend(MAY_2019 + 3 * DAY));
-        assert!(is_weekend(MAY_2019 + 4 * DAY));
-        assert!(!is_weekend(MAY_2019 + 5 * DAY));
-    }
-
-    #[test]
-    fn hour_of_day_extraction() {
-        assert_eq!(hour_of_day(MAY_2019), 0);
-        assert_eq!(hour_of_day(MAY_2019 + 7 * HOUR + 30 * 60), 7);
     }
 
     #[test]

@@ -193,11 +193,6 @@ fn ends_cvce_candidate(stem: &[u8]) -> bool {
         && !matches!(c2, b'w' | b'x' | b'y')
 }
 
-/// Lemmatizes every token in a stream.
-pub fn lemmatize_all(tokens: &[String]) -> Vec<String> {
-    tokens.iter().map(|t| lemmatize(t)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,12 +268,6 @@ mod tests {
         assert_eq!(lemmatize("eu"), "eu");
         assert_eq!(lemmatize("25"), "25");
         assert_eq!(lemmatize("u.s"), "u.s");
-    }
-
-    #[test]
-    fn lemmatize_all_maps_stream() {
-        let toks: Vec<String> = ["The", "parties", "voted"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(lemmatize_all(&toks), vec!["the", "party", "vote"]);
     }
 
     #[test]

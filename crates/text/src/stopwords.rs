@@ -50,11 +50,6 @@ pub fn is_stopword(word: &str) -> bool {
     }
 }
 
-/// Removes stopwords from a token stream (case-insensitive).
-pub fn remove_stopwords(tokens: &[String]) -> Vec<String> {
-    tokens.iter().filter(|t| !is_stopword(t)).cloned().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,13 +73,6 @@ mod tests {
         assert!(is_stopword("The"));
         assert!(is_stopword("AND"));
         assert!(!is_stopword("Brexit"));
-    }
-
-    #[test]
-    fn remove_stopwords_filters() {
-        let toks: Vec<String> =
-            ["the", "election", "of", "may"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(remove_stopwords(&toks), vec!["election", "may"]);
     }
 
     #[test]

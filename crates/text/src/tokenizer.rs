@@ -183,20 +183,6 @@ fn match_url(chars: &[char]) -> Option<usize> {
     (len > 4).then_some(len)
 }
 
-/// Lower-cased word-like tokens only (words, numbers, hashtags without
-/// the `#`); the representation the event-detection pipelines feed to
-/// MABED.
-pub fn word_tokens_lower(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter_map(|t| match t.kind {
-            TokenKind::Word | TokenKind::Number => Some(t.lower()),
-            TokenKind::Hashtag => Some(t.text[1..].to_lowercase()),
-            _ => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,12 +267,6 @@ mod tests {
     fn unicode_words() {
         let toks = tokenize("café naïve Zürich");
         assert_eq!(texts(&toks), vec!["café", "naïve", "Zürich"]);
-    }
-
-    #[test]
-    fn word_tokens_lower_filters_and_lowercases() {
-        let ws = word_tokens_lower("RT @user: Brexit VOTE #Politics http://t.co/x !");
-        assert_eq!(ws, vec!["rt", "brexit", "vote", "politics"]);
     }
 
     #[test]

@@ -1,23 +1,18 @@
-//! Topic-coherence metrics.
+//! Topic-coherence metric.
 //!
 //! Used by the `ablation_topics` bench to compare NMF / LDA / LSA /
 //! PLSI quantitatively, mirroring the short-text topic-mining
 //! comparison the paper cites (Chen et al. 2019).
 //!
-//! * **UMass coherence** (Mimno et al. 2011): sum of
-//!   `log((D(wi, wj) + 1) / D(wj))` over ordered keyword pairs —
-//!   intrinsic, uses the training corpus itself.
-//! * **UCI/PMI coherence** (Newman et al. 2010): average pointwise
-//!   mutual information over keyword pairs.
-//!
-//! Both are "higher is better".
+//! **UMass coherence** (Mimno et al. 2011): sum of
+//! `log((D(wi, wj) + 1) / D(wj))` over ordered keyword pairs —
+//! intrinsic, uses the training corpus itself. Higher is better.
 
 use std::collections::{HashMap, HashSet};
 
 /// Document-frequency statistics needed by the coherence measures.
 #[derive(Debug, Clone)]
 pub struct CoherenceStats {
-    n_docs: usize,
     doc_freq: HashMap<String, usize>,
     pair_freq: HashMap<(String, String), usize>,
 }
@@ -49,7 +44,7 @@ impl CoherenceStats {
                 }
             }
         }
-        CoherenceStats { n_docs: docs.len(), doc_freq, pair_freq }
+        CoherenceStats { doc_freq, pair_freq }
     }
 
     fn df(&self, w: &str) -> usize {
@@ -77,37 +72,6 @@ impl CoherenceStats {
                 }
                 let co = self.co_df(&keywords[i], &keywords[j]);
                 score += ((co as f64 + 1.0) / dj as f64).ln();
-                pairs += 1;
-            }
-        }
-        if pairs == 0 {
-            0.0
-        } else {
-            score / pairs as f64
-        }
-    }
-
-    /// UCI (average PMI) coherence of one topic's keyword list, with
-    /// +1 smoothing on the joint count.
-    pub fn uci(&self, keywords: &[String]) -> f64 {
-        if self.n_docs == 0 {
-            return 0.0;
-        }
-        let n = self.n_docs as f64;
-        let mut score = 0.0;
-        let mut pairs = 0usize;
-        for i in 0..keywords.len() {
-            for j in (i + 1)..keywords.len() {
-                let di = self.df(&keywords[i]);
-                let dj = self.df(&keywords[j]);
-                if di == 0 || dj == 0 {
-                    continue;
-                }
-                let co = self.co_df(&keywords[i], &keywords[j]) as f64;
-                let p_ij = (co + 1.0) / n;
-                let p_i = di as f64 / n;
-                let p_j = dj as f64 / n;
-                score += (p_ij / (p_i * p_j)).ln();
                 pairs += 1;
             }
         }
@@ -167,7 +131,6 @@ mod tests {
             stats.umass(&coherent),
             stats.umass(&mixed)
         );
-        assert!(stats.uci(&coherent) > stats.uci(&mixed));
     }
 
     #[test]
@@ -184,7 +147,6 @@ mod tests {
     fn empty_inputs_are_zero() {
         let stats = CoherenceStats::compute(&[], &all_keywords());
         assert_eq!(stats.umass(&[]), 0.0);
-        assert_eq!(stats.uci(&["a".to_string()]), 0.0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! of the paper. Three comparators from the paper's related-work
 //! discussion are implemented for the design-choice ablation
 //! ([`lda`] by collapsed Gibbs sampling, [`lsa`] by truncated SVD,
-//! and [`plsi`] by EM), along with [topic-coherence metrics](coherence)
-//! (UMass / UCI) to compare them quantitatively.
+//! and [`plsi`] by EM), along with a [topic-coherence metric](coherence)
+//! (UMass) to compare them quantitatively.
 //!
 //! All algorithms consume the weighted document-term matrix produced
 //! by `nd-vectorize` and emit a common [`TopicModel`]: per-topic term

@@ -14,14 +14,6 @@ pub struct Topic {
     pub weights: Vec<f64>,
 }
 
-impl Topic {
-    /// Keywords joined by spaces — the representation the correlation
-    /// module embeds with Doc2Vec (paper §4.5).
-    pub fn keyword_string(&self) -> String {
-        self.keywords.join(" ")
-    }
-}
-
 /// The result of fitting any topic model: the factor matrices and the
 /// vocabulary used to decode term indices.
 #[derive(Debug, Clone)]
@@ -73,13 +65,6 @@ impl TopicModel {
         let best = nd_linalg::vecops::argmax(row)?;
         (row[best] > 0.0).then_some(best)
     }
-
-    /// Documents assigned (dominantly) to topic `t`.
-    pub fn documents_for_topic(&self, t: usize) -> Vec<usize> {
-        (0..self.doc_topic.rows())
-            .filter(|&d| self.dominant_topic(d) == Some(t))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +99,6 @@ mod tests {
         let t0 = m.topic(0, 2).unwrap();
         assert_eq!(t0.keywords, vec!["brexit", "vote"]);
         assert!(t0.weights[0] >= t0.weights[1]);
-        assert_eq!(t0.keyword_string(), "brexit vote");
         let t1 = m.topic(1, 2).unwrap();
         assert_eq!(t1.keywords, vec!["tariff", "trade"]);
     }
@@ -130,13 +114,6 @@ mod tests {
         assert_eq!(m.dominant_topic(0), Some(0));
         assert_eq!(m.dominant_topic(1), Some(1));
         assert_eq!(m.dominant_topic(2), None, "all-zero row has no dominant topic");
-    }
-
-    #[test]
-    fn documents_for_topic() {
-        let m = tiny_model();
-        assert_eq!(m.documents_for_topic(0), vec![0]);
-        assert_eq!(m.documents_for_topic(1), vec![1]);
     }
 
     #[test]

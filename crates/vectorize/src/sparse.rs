@@ -44,11 +44,6 @@ impl<'a> SparseRowView<'a> {
         self.indices.iter().copied().zip(self.values.iter().copied())
     }
 
-    /// Dot product with a dense vector.
-    pub fn dot_dense(&self, dense: &[f64]) -> f64 {
-        self.iter().map(|(j, v)| v * dense[j]).sum()
-    }
-
     /// ℓ² norm of the row.
     pub fn norm2(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -377,13 +372,6 @@ mod tests {
             &[vec![(0, 1.0), (1, 1.0)], vec![(1, 2.0)], vec![(1, 1.0), (2, 1.0)]],
         );
         assert_eq!(m.column_document_frequency(), vec![1, 3, 1]);
-    }
-
-    #[test]
-    fn row_dot_dense() {
-        let m = sample();
-        assert_eq!(m.row(0).dot_dense(&[1.0, 1.0, 1.0]), 3.0);
-        assert_eq!(m.row(1).dot_dense(&[0.0, 2.0, 0.0]), 6.0);
     }
 
     #[test]

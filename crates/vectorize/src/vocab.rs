@@ -53,20 +53,6 @@ impl Vocabulary {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> {
         self.terms.iter().enumerate().map(|(i, t)| (i, t.as_str()))
     }
-
-    /// Builds a vocabulary from an iterator of token streams.
-    pub fn from_documents<'a, I>(docs: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Vec<String>>,
-    {
-        let mut v = Vocabulary::new();
-        for doc in docs {
-            for tok in doc {
-                v.intern(tok);
-            }
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -90,18 +76,6 @@ mod tests {
         assert_eq!(v.get("brexit"), Some(id));
         assert_eq!(v.get("unknown"), None);
         assert_eq!(v.term(99), None);
-    }
-
-    #[test]
-    fn from_documents_first_seen_order() {
-        let docs = vec![
-            vec!["x".to_string(), "y".to_string()],
-            vec!["y".to_string(), "z".to_string()],
-        ];
-        let v = Vocabulary::from_documents(&docs);
-        assert_eq!(v.get("x"), Some(0));
-        assert_eq!(v.get("y"), Some(1));
-        assert_eq!(v.get("z"), Some(2));
     }
 
     #[test]

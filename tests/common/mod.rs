@@ -23,7 +23,7 @@ impl Gate {
 }
 
 impl Layer for Gate {
-    fn forward(&mut self, input: &Mat, _training: bool) -> Mat {
+    fn forward(&mut self, input: &Mat) -> Mat {
         self.forward_infer(input)
     }
 

@@ -325,17 +325,17 @@ fn word_vector_iteration_is_stable_across_trainings() {
 fn pipeline_warm_runs_are_bit_identical_across_threads() {
     use newsdiff::core::pipeline::{Pipeline, PipelineConfig};
     let _guard = ENV_LOCK.lock().unwrap();
-    let dir = PipelineConfig::shared_run_dir();
+    let dir = std::env::temp_dir().join(format!("nd-determinism-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
 
     std::env::set_var("NEWSDIFF_THREADS", "1");
-    let mut cold_cfg = PipelineConfig::small().with_cache_dir(&dir);
-    cold_cfg.cache.force = true;
-    let (cold, cold_report) =
-        Pipeline::new(cold_cfg).run_with_report().expect("cold run");
+    let (cold, cold_report) = Pipeline::new(PipelineConfig::small().with_cache_dir(&dir))
+        .run_with_report()
+        .expect("cold run");
     assert_eq!(
         cold_report.executed(),
         cold_report.stages.len(),
-        "force must execute every stage body"
+        "an empty cache dir must execute every stage body"
     );
     let cold_digest = cold.content_digest();
     if REFERENCE_BUILD {
@@ -364,6 +364,7 @@ fn pipeline_warm_runs_are_bit_identical_across_threads() {
         );
     }
     std::env::remove_var("NEWSDIFF_THREADS");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Runs compared with each other cannot see a kernel change that moves
@@ -429,7 +430,7 @@ fn neural_layers_are_thread_count_invariant() {
     let input = random_mat(24, 40, 19);
     assert_bitwise_stable("dense fwd/bwd", || {
         let mut layer = Dense::new(40, 24, 23);
-        let out = layer.forward(&input, true);
+        let out = layer.forward(&input);
         let grad_in = layer.backward(&out);
         let mut v = out.as_slice().to_vec();
         v.extend_from_slice(grad_in.as_slice());
@@ -438,7 +439,7 @@ fn neural_layers_are_thread_count_invariant() {
     });
     assert_bitwise_stable("conv1d fwd/bwd", || {
         let mut layer = Conv1d::new(40, 5, 6, 29);
-        let out = layer.forward(&input, true);
+        let out = layer.forward(&input);
         let grad_in = layer.backward(&out);
         let mut v = out.as_slice().to_vec();
         v.extend_from_slice(grad_in.as_slice());

@@ -252,16 +252,3 @@ fn corrupted_stream_slice_artifact_heals_by_recomputing_exactly_its_cone() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn force_recomputes_every_stage_bit_identically() {
-    let _guard = LOCK.lock().unwrap();
-    baseline_digest();
-
-    // `force`: every stage recomputes; output still bit-identical.
-    let mut cfg = config();
-    cfg.cache.force = true;
-    let (out, report) = Pipeline::new(cfg).run_with_report().expect("forced run");
-    assert!(report.stages.iter().all(|s| s.cache == CacheStatus::Forced));
-    assert_eq!(out.content_digest(), baseline_digest());
-}

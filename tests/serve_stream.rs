@@ -1,9 +1,9 @@
 //! Streaming refresh loop, end to end: `POST /admin/reload
 //! {"advance_stream": true}` folds one firehose slice per call
-//! through the incremental DAG (cached prefix replays from disk),
-//! retrains the served model on the new head state, hot-swaps the
-//! checkpoint, and surfaces per-slice fold/staleness gauges on
-//! `GET /metrics`.
+//! through the incremental DAG onto the head state the retrainer holds
+//! in memory (nothing replays), retrains the served model on the new
+//! head state, hot-swaps the checkpoint, and surfaces per-slice
+//! fold/staleness gauges on `GET /metrics`.
 
 use newsdiff::core::checkpoint::save_checkpoint;
 use newsdiff::core::features::DatasetVariant;
@@ -96,8 +96,8 @@ fn advance_stream_folds_retrains_and_swaps_slice_by_slice() {
         let stream = &body["stream"];
         assert_eq!(stream["head"].as_u64(), Some(k as u64 + 1));
         assert_eq!(stream["horizon"].as_u64(), Some(horizon as u64));
-        // Each advance folds exactly the six stages of the new slice;
-        // the prefix replays from the artifact cache.
+        // Each advance folds exactly the six stages of the new slice
+        // onto the held head; no earlier slice replays.
         assert_eq!(stream["executed"].as_u64(), Some(6), "{stream}");
         assert_eq!(stream["slices_polled"].as_u64(), Some(1), "lazy poll: one new slice");
         for fold in stream["folds"].as_array().expect("folds") {
