@@ -18,12 +18,35 @@ echo "==> benchmark build (perfbench/ against the workspace; --locked rejects lo
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> benchmark answers (quick traced predict_closed: served answers, batcher and parse probes vs the workspace)"
-# ~10 s. predict_open stays out: its open-loop lateness rule can flip
-# `correct` on a loaded host.
+# ~10 s. A closed loop has no lateness rule, so this step gates on
+# `correct` itself; predict_open's step below gates on its WRONG lines.
 quick=$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
     --workload predict_closed --seed 1 --seconds 1 --trace 1 --quick | tail -n 1)
 if [[ $quick != *'"correct":true'* || $quick != *'"failed":0'* ]]; then
     echo "perfbench predict_closed quick run is not correct with 0 failed: $quick"
+    exit 1
+fi
+
+echo "==> benchmark answers (quick untraced predict_open: served and cached answers vs offline, served versions)"
+# ~10 s, untraced so the cache-hit check runs. A WRONG line (a served
+# or cached answer that differs from its offline forward pass, or a
+# version other than 1), a nonzero exit or a failed operation fails
+# the step; INVALID lines come from the open-loop lateness rule, which
+# a loaded host can trip, so they only print.
+open_err=$(mktemp)
+if ! open=$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload predict_open --seed 1 --seconds 1 --trace 0 --quick 2>"$open_err" | tail -n 1); then
+    tail -n 20 "$open_err"
+    echo "perfbench predict_open quick run exited nonzero"
+    exit 1
+fi
+wrong=$(grep -F 'perfbench: WRONG:' "$open_err" || true)
+grep -F 'perfbench: INVALID:' "$open_err" || true
+rm -f "$open_err"
+if [[ -n $wrong || $open != *'"failed":0'* ]]; then
+    echo "perfbench predict_open quick run has wrong answers or failed operations:"
+    [[ -z $wrong ]] || echo "$wrong"
+    echo "$open"
     exit 1
 fi
 

@@ -17,7 +17,6 @@ use nd_serve::{
     BatchConfig, Batcher, Client, Metrics, ModelHandle, ModelSpec, Registry, ServeConfig,
     Server,
 };
-use nd_store::Database;
 use serde_json::json;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -86,10 +85,7 @@ fn bench_microbatch(c: &mut Criterion) {
 fn bench_http_roundtrip(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("ndbench-serve-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    {
-        let mut db = Database::open(&dir).unwrap();
-        save_checkpoint(&mut db, "likes", &build_mlp(DIM, 42)).unwrap();
-    }
+    save_checkpoint(&dir, "likes", &build_mlp(DIM, 42)).unwrap();
 
     // Cold path: cache disabled, every request runs a forward pass.
     let registry =
@@ -142,10 +138,7 @@ fn bench_http_roundtrip(c: &mut Criterion) {
 fn bench_keepalive_reuse(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("ndbench-keep-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    {
-        let mut db = Database::open(&dir).unwrap();
-        save_checkpoint(&mut db, "likes", &build_mlp(DIM, 42)).unwrap();
-    }
+    save_checkpoint(&dir, "likes", &build_mlp(DIM, 42)).unwrap();
     let registry =
         Registry::load(&dir, vec![ModelSpec::new("likes", DIM, || build_mlp(DIM, 0))], 2)
             .unwrap();

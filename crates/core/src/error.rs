@@ -18,8 +18,8 @@ pub enum CoreError {
     /// no correlated pairs) where later stages require some.
     NoOutput(&'static str),
     /// The artifact cache or stage graph misbehaved (unknown stage
-    /// name, unwritable cache directory, ...). Unreadable cached
-    /// artifacts do *not* surface here — they read as cache misses.
+    /// name, unwritable cache directory, defective checkpoint, ...).
+    /// Unreadable cached *stage* artifacts read as cache misses instead.
     Artifact(String),
 }
 

@@ -41,16 +41,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Scales `a` in place to unit ℓ² norm; a zero vector is left unchanged.
-pub fn normalize(a: &mut [f64]) {
-    let n = norm2(a);
-    if n > 0.0 {
-        for v in a {
-            *v /= n;
-        }
-    }
-}
-
 /// Cosine similarity (paper Eq. 11).
 ///
 /// Returns `0.0` when either vector has zero norm — the paper's
@@ -125,16 +115,6 @@ mod tests {
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_unit_and_zero() {
-        let mut v = vec![3.0, 4.0];
-        normalize(&mut v);
-        assert!((norm2(&v) - 1.0).abs() < 1e-12);
-        let mut z = vec![0.0, 0.0];
-        normalize(&mut z);
-        assert_eq!(z, vec![0.0, 0.0]);
     }
 
     #[test]

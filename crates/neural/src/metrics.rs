@@ -2,9 +2,8 @@
 //!
 //! The paper evaluates its multi-class predictors with the *average
 //! accuracy* of Eq. (17): the mean over classes of
-//! `(TP_i + TN_i) / (TP_i + FN_i + FP_i + TN_i)`. For completeness the
-//! confusion matrix also exposes plain accuracy, per-class
-//! precision/recall/F1 and their macro averages.
+//! `(TP_i + TN_i) / (TP_i + FN_i + FP_i + TN_i)`. The confusion matrix
+//! also exposes plain accuracy.
 
 /// A `k x k` confusion matrix; rows = true class, cols = predicted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,36 +81,6 @@ impl ConfusionMatrix {
             .sum::<f64>()
             / self.k as f64
     }
-
-    /// Precision of class `c`; 0 when the class was never predicted.
-    pub fn precision(&self, c: usize) -> f64 {
-        let denom = self.tp(c) + self.fp(c);
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp(c) as f64 / denom as f64
-        }
-    }
-
-    /// Recall of class `c`; 0 when the class never occurs.
-    pub fn recall(&self, c: usize) -> f64 {
-        let denom = self.tp(c) + self.fn_(c);
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp(c) as f64 / denom as f64
-        }
-    }
-
-    /// F1 of class `c`.
-    pub fn f1(&self, c: usize) -> f64 {
-        let (p, r) = (self.precision(c), self.recall(c));
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 /// Convenience: plain accuracy of predictions against truth.
@@ -149,23 +118,6 @@ mod tests {
         // class 2: TP=1 FP=0 FN=1 TN=4 -> 5/6
         let want = (4.0 + 5.0 + 5.0) / (3.0 * 6.0);
         assert!((cm.average_accuracy() - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn precision_recall_f1() {
-        let cm = ConfusionMatrix::from_labels(2, &[0, 0, 1, 1], &[0, 1, 1, 1]);
-        // class 1: TP=2, FP=1, FN=0
-        assert!((cm.precision(1) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(cm.recall(1), 1.0);
-        assert!((cm.f1(1) - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn never_predicted_class_zero_precision() {
-        let cm = ConfusionMatrix::from_labels(3, &[2, 2], &[0, 1]);
-        assert_eq!(cm.precision(2), 0.0);
-        assert_eq!(cm.recall(2), 0.0);
-        assert_eq!(cm.f1(2), 0.0);
     }
 
     #[test]

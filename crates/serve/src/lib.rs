@@ -4,8 +4,9 @@
 //! social-media reactions arrive and serves interest predictions for
 //! incoming news topics continuously. `nd-serve` is that serving
 //! tier: a dependency-free HTTP/1.1 server over
-//! [`std::net::TcpListener`] that loads trained checkpoints from the
-//! embedded `nd-store` database and answers `POST /predict` with the
+//! [`std::net::TcpListener`] that loads trained checkpoints (one
+//! NDART01 frame per model version, see `nd_core::checkpoint`) from a
+//! directory and answers `POST /predict` with the
 //! exact scores an offline [`nd_neural::Network::predict_batch`] call
 //! would produce.
 //!
@@ -86,9 +87,7 @@ pub enum ServeError {
     /// Bad configuration (no specs, missing checkpoints, bad bind
     /// address).
     Config(String),
-    /// The backing document store failed.
-    Store(nd_store::StoreError),
-    /// Checkpoint load/prune failed.
+    /// Checkpoint save/load/prune failed.
     Core(nd_core::CoreError),
     /// Socket-level failure.
     Io(std::io::Error),
@@ -98,7 +97,6 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Config(msg) => write!(f, "config error: {msg}"),
-            ServeError::Store(e) => write!(f, "store error: {e}"),
             ServeError::Core(e) => write!(f, "checkpoint error: {e}"),
             ServeError::Io(e) => write!(f, "io error: {e}"),
         }
@@ -106,12 +104,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-impl From<nd_store::StoreError> for ServeError {
-    fn from(e: nd_store::StoreError) -> Self {
-        ServeError::Store(e)
-    }
-}
 
 impl From<nd_core::CoreError> for ServeError {
     fn from(e: nd_core::CoreError) -> Self {

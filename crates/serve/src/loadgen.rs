@@ -475,9 +475,9 @@ pub fn slow_loris(addr: SocketAddr, conns: usize, hold: Duration) -> LorisSummar
 }
 
 /// Boots a disposable server over `n_models` freshly checkpointed
-/// MLPs (named `m0..m{n-1}`, input width `dim`) in `dir`. Shared by
-/// the loadgen example, the SLO bench, and the tests so they all
-/// measure the same fixture.
+/// MLPs (named `m0..m{n-1}`, input width `dim`, one frame each in
+/// `dir`). Shared by the loadgen example, the SLO bench, and the tests
+/// so they all measure the same fixture.
 pub fn boot_fixture(
     dir: &Path,
     n_models: usize,
@@ -486,14 +486,12 @@ pub fn boot_fixture(
 ) -> Result<Server, ServeError> {
     use nd_core::checkpoint::save_checkpoint;
     use nd_core::predict::build_mlp;
-    let mut db = nd_store::Database::open(dir)?;
     let mut specs = Vec::with_capacity(n_models);
     for i in 0..n_models {
         let name = format!("m{i}");
-        save_checkpoint(&mut db, &name, &build_mlp(dim, 1000 + i as u64))?;
+        save_checkpoint(dir, &name, &build_mlp(dim, 1000 + i as u64))?;
         specs.push(ModelSpec::new(&name, dim, move || build_mlp(dim, 0)));
     }
-    drop(db);
     let registry = Registry::load(dir, specs, 2)?;
     Server::start(config, registry)
 }
@@ -556,6 +554,27 @@ mod tests {
             seen.insert(body["rows"].to_string());
         }
         assert!(seen.len() <= mix.row_pool, "rows recycle through the pool");
+    }
+
+    #[test]
+    fn boot_fixture_leaves_only_checkpoint_frames() {
+        let dir = std::env::temp_dir().join(format!("ndfixture-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let server = boot_fixture(&dir, 3, 4, ServeConfig::default()).unwrap();
+        let versions: Vec<u64> = server.registry().list().iter().map(|h| h.version).collect();
+        assert_eq!(versions, vec![1, 1, 1]);
+        server.shutdown();
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, [
+            "m0-0000000000000001.art",
+            "m1-0000000000000001.art",
+            "m2-0000000000000001.art"
+        ]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

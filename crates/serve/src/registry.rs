@@ -5,20 +5,19 @@
 //! for the request's whole life, so a swap never tears a response —
 //! in-flight work finishes on the version it started with while new
 //! admissions see the fresh handle. Swaps load the newest
-//! `nd-core::checkpoint` version from the `models` collection into a
+//! `nd-core::checkpoint` frame in the registry's directory into a
 //! freshly built architecture (paper §4.9: retraining continues from
 //! checkpoints as data arrives; the serving tier picks the results up
-//! without a restart) and then prune superseded checkpoint versions.
+//! without a restart) and then delete superseded frames.
 //!
-//! The embedded store is single-writer: the registry opens the
-//! database only inside [`Registry::refresh`] / [`Registry::load`]
-//! and never holds it across requests, so an external trainer process
-//! can write checkpoints between refreshes.
+//! The registry holds no open file, and frames land by synced rename,
+//! so a trainer in any process can save between or during refreshes.
+//! A defective newest frame fails the refresh and the serving version
+//! stays.
 
 use crate::ServeError;
 use nd_core::checkpoint::{latest_version, load_checkpoint, prune_checkpoints};
 use nd_neural::Network;
-use nd_store::Database;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -26,7 +25,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// How to (re)build a served model's architecture; checkpoint
 /// parameters are loaded on top.
 pub struct ModelSpec {
-    /// Checkpoint name in the `models` collection.
+    /// Checkpoint name: frames `<name>-<version:016x>.art`.
     pub name: String,
     /// Expected feature-vector width (request validation).
     pub input_dim: usize,
@@ -69,7 +68,7 @@ pub struct SwapEvent {
     pub from: u64,
     /// Version serving after the swap.
     pub to: u64,
-    /// Checkpoint documents pruned after the swap.
+    /// Superseded checkpoint frames deleted after the swap.
     pub pruned: usize,
 }
 
@@ -82,8 +81,8 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Opens the store, loads the newest checkpoint for every spec,
-    /// and prunes superseded versions. Fails fast when any spec has no
+    /// Loads the newest checkpoint in `db_dir` for every spec, and
+    /// prunes superseded versions. Fails fast when any spec has no
     /// checkpoint — a server with nothing to serve is a deploy error.
     pub fn load(
         db_dir: impl Into<PathBuf>,
@@ -99,14 +98,14 @@ impl Registry {
             models: RwLock::new(BTreeMap::new()),
             keep_checkpoints: keep_checkpoints.max(1),
         };
-        let swapped = registry.refresh()?;
-        if swapped.len() != registry.specs.len() {
-            let missing: Vec<&str> = registry
-                .specs
-                .keys()
-                .filter(|n| !swapped.iter().any(|s| &s.name == *n))
-                .map(String::as_str)
-                .collect();
+        registry.refresh()?;
+        let missing: Vec<&str> = registry
+            .specs
+            .keys()
+            .filter(|n| registry.get(n).is_none())
+            .map(String::as_str)
+            .collect();
+        if !missing.is_empty() {
             return Err(ServeError::Config(format!(
                 "no checkpoint found for model(s): {}",
                 missing.join(", ")
@@ -115,7 +114,7 @@ impl Registry {
         Ok(registry)
     }
 
-    /// Directory of the backing store.
+    /// Directory holding the checkpoint frames.
     pub fn db_dir(&self) -> &Path {
         &self.db_dir
     }
@@ -144,24 +143,26 @@ impl Registry {
         self.models.read().unwrap_or_else(PoisonError::into_inner).values().cloned().collect()
     }
 
-    /// Re-opens the store and hot-swaps every model whose newest
-    /// checkpoint is ahead of the serving version, pruning superseded
-    /// checkpoints afterwards. Returns one event per swap. In-flight
-    /// requests keep their admitted handle; only new admissions see
-    /// the swapped version.
+    /// Hot-swaps every model whose newest checkpoint is ahead of the
+    /// serving version, pruning superseded checkpoints afterwards.
+    /// Returns one event per swap. In-flight requests keep their
+    /// admitted handle; only new admissions see the swapped version.
+    ///
+    /// # Errors
+    /// When a newest frame is defective or does not fit its spec's
+    /// architecture; that model keeps serving its current version.
     pub fn refresh(&self) -> Result<Vec<SwapEvent>, ServeError> {
-        let mut db = Database::open(&self.db_dir)?;
         let mut events = Vec::new();
         for (name, spec) in &self.specs {
             let serving = self.get(name).map(|h| h.version).unwrap_or(0);
-            let newest = latest_version(&db, name).unwrap_or(0);
+            let newest = latest_version(&self.db_dir, name).unwrap_or(0);
             if newest <= serving {
                 continue;
             }
             // Build + load outside the lock: the write lock is held
             // only for the pointer swap.
             let mut network = (spec.builder)();
-            let version = load_checkpoint(&db, name, &mut network)?;
+            let version = load_checkpoint(&self.db_dir, name, &mut network)?;
             let handle = Arc::new(ModelHandle {
                 name: name.clone(),
                 version,
@@ -173,7 +174,7 @@ impl Registry {
                 .write()
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(name.clone(), handle);
-            let pruned = prune_checkpoints(&mut db, name, self.keep_checkpoints)?;
+            let pruned = prune_checkpoints(&self.db_dir, name, self.keep_checkpoints)?;
             events.push(SwapEvent { name: name.clone(), from: serving, to: version, pruned });
         }
         Ok(events)
@@ -186,7 +187,7 @@ mod tests {
     use nd_core::checkpoint::save_checkpoint;
     use nd_core::predict::build_mlp;
     use nd_linalg::Mat;
-    use nd_store::Filter;
+    use nd_store::ArtifactStore;
 
     fn tmpdir(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("ndreg-{}-{}", std::process::id(), name));
@@ -198,15 +199,16 @@ mod tests {
         ModelSpec::new("likes", dim, move || build_mlp(dim, 0))
     }
 
+    fn versions(dir: &Path, name: &str) -> Vec<u64> {
+        ArtifactStore::open(dir).unwrap().fingerprints(name).unwrap()
+    }
+
     #[test]
     fn loads_latest_and_serves_it() {
         let dir = tmpdir("load");
         let trained = build_mlp(6, 7);
-        {
-            let mut db = Database::open(&dir).unwrap();
-            save_checkpoint(&mut db, "likes", &build_mlp(6, 1)).unwrap();
-            save_checkpoint(&mut db, "likes", &trained).unwrap();
-        }
+        save_checkpoint(&dir, "likes", &build_mlp(6, 1)).unwrap();
+        save_checkpoint(&dir, "likes", &trained).unwrap();
         let reg = Registry::load(&dir, vec![spec(6)], 3).unwrap();
         let h = reg.get("likes").unwrap();
         assert_eq!(h.version, 2);
@@ -220,7 +222,7 @@ mod tests {
     #[test]
     fn missing_checkpoint_fails_fast() {
         let dir = tmpdir("missing");
-        Database::open(&dir).unwrap().persist().unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
         let err = Registry::load(&dir, vec![spec(6)], 3).err().expect("must fail");
         assert!(err.to_string().contains("likes"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -229,21 +231,15 @@ mod tests {
     #[test]
     fn refresh_swaps_in_newer_version_and_prunes() {
         let dir = tmpdir("swap");
-        {
-            let mut db = Database::open(&dir).unwrap();
-            save_checkpoint(&mut db, "likes", &build_mlp(6, 1)).unwrap();
-        }
+        save_checkpoint(&dir, "likes", &build_mlp(6, 1)).unwrap();
         let reg = Registry::load(&dir, vec![spec(6)], 1).unwrap();
         let old = reg.get("likes").unwrap();
         assert_eq!(old.version, 1);
         assert!(reg.refresh().unwrap().is_empty(), "no new version yet");
 
         let newer = build_mlp(6, 99);
-        {
-            let mut db = Database::open(&dir).unwrap();
-            save_checkpoint(&mut db, "likes", &newer).unwrap();
-            save_checkpoint(&mut db, "likes", &newer).unwrap();
-        }
+        save_checkpoint(&dir, "likes", &newer).unwrap();
+        save_checkpoint(&dir, "likes", &newer).unwrap();
         let events = reg.refresh().unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!((events[0].from, events[0].to), (1, 3));
@@ -253,24 +249,15 @@ mod tests {
         let x = Mat::random_normal(2, 6, 0.0, 1.0, 2);
         let _ = old.network.predict_batch(&x);
 
-        let db = Database::open(&dir).unwrap();
-        assert_eq!(
-            db.get_collection(nd_core::checkpoint::MODELS_COLLECTION)
-                .unwrap()
-                .count(&Filter::eq("name", "likes")),
-            1
-        );
+        assert_eq!(versions(&dir, "likes").len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn single_is_none_with_two_models() {
         let dir = tmpdir("two");
-        {
-            let mut db = Database::open(&dir).unwrap();
-            save_checkpoint(&mut db, "likes", &build_mlp(4, 1)).unwrap();
-            save_checkpoint(&mut db, "retweets", &build_mlp(4, 2)).unwrap();
-        }
+        save_checkpoint(&dir, "likes", &build_mlp(4, 1)).unwrap();
+        save_checkpoint(&dir, "retweets", &build_mlp(4, 2)).unwrap();
         let specs = vec![
             ModelSpec::new("likes", 4, || build_mlp(4, 0)),
             ModelSpec::new("retweets", 4, || build_mlp(4, 0)),
@@ -278,6 +265,81 @@ mod tests {
         let reg = Registry::load(&dir, specs, 3).unwrap();
         assert!(reg.single().is_none());
         assert_eq!(reg.list().len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn defective_newest_frame_fails_refresh_and_keeps_serving() {
+        let dir = tmpdir("defect");
+        let x = Mat::random_normal(2, 6, 0.0, 1.0, 3);
+        let v1 = build_mlp(6, 1);
+        save_checkpoint(&dir, "likes", &v1).unwrap();
+        let reg = Registry::load(&dir, vec![spec(6)], 2).unwrap();
+        save_checkpoint(&dir, "likes", &build_mlp(6, 2)).unwrap();
+        let path = ArtifactStore::open(&dir).unwrap().path_for("likes", 2);
+        let full = std::fs::read(&path).unwrap();
+        let mut flipped = full.clone();
+        flipped[full.len() - 8] ^= 0x10;
+        for bad in [flipped, full[..full.len() - 100].to_vec()] {
+            std::fs::write(&path, &bad).unwrap();
+            assert!(reg.refresh().is_err(), "a defective newest frame must fail the refresh");
+            let h = reg.get("likes").expect("still serving");
+            assert_eq!(h.version, 1);
+            assert_eq!(h.network.predict_batch(&x), v1.predict_batch(&x));
+        }
+        // A later good save swaps in over the defective frame.
+        let v3 = build_mlp(6, 3);
+        assert_eq!(save_checkpoint(&dir, "likes", &v3).unwrap(), 3);
+        let events = reg.refresh().unwrap();
+        assert_eq!((events[0].from, events[0].to, events[0].pruned), (1, 3, 1));
+        assert_eq!(reg.get("likes").unwrap().network.predict_batch(&x), v3.predict_batch(&x));
+        assert_eq!(versions(&dir, "likes"), vec![2, 3]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn other_files_in_the_directory_do_not_change_versions() {
+        let dir = tmpdir("neighbours");
+        save_checkpoint(&dir, "likes", &build_mlp(4, 1)).unwrap();
+        for _ in 0..3 {
+            save_checkpoint(&dir, "likes-mlp", &build_mlp(4, 2)).unwrap();
+        }
+        std::fs::write(dir.join(".likes-0000000000000007.42.tmp"), b"torn").unwrap();
+        std::fs::write(dir.join("wal.log"), b"not a frame").unwrap();
+        let reg = Registry::load(&dir, vec![spec(4)], 1).unwrap();
+        assert_eq!(reg.get("likes").unwrap().version, 1);
+        assert!(reg.refresh().unwrap().is_empty());
+        save_checkpoint(&dir, "likes", &build_mlp(4, 3)).unwrap();
+        let events = reg.refresh().unwrap();
+        assert_eq!((events[0].from, events[0].to, events[0].pruned), (1, 2, 1));
+        assert_eq!(versions(&dir, "likes"), vec![2]);
+        assert_eq!(versions(&dir, "likes-mlp"), vec![1, 2, 3], "another model's frames stay");
+        assert!(dir.join(".likes-0000000000000007.42.tmp").exists());
+        assert!(dir.join("wal.log").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_and_refresh_cycles_keep_the_store_bounded() {
+        // One paper-width MLP (48,003 parameters) at keep = 2: the
+        // directory must stay at two frames however many cycles run.
+        let dir = tmpdir("bounded");
+        let dim = 308;
+        save_checkpoint(&dir, "likes", &build_mlp(dim, 0)).unwrap();
+        let reg = Registry::load(&dir, vec![spec(dim)], 2).unwrap();
+        let frame_bytes =
+            std::fs::metadata(ArtifactStore::open(&dir).unwrap().path_for("likes", 1))
+                .unwrap()
+                .len();
+        for cycle in 2..=51 {
+            save_checkpoint(&dir, "likes", &build_mlp(dim, cycle)).unwrap();
+            let events = reg.refresh().unwrap();
+            assert_eq!((events.len(), events[0].to), (1, cycle));
+        }
+        assert_eq!(versions(&dir, "likes"), vec![50, 51]);
+        let dir_bytes: u64 =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().metadata().unwrap().len()).sum();
+        assert!(dir_bytes <= 2 * frame_bytes + 4096, "{dir_bytes} bytes on disk");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,10 +17,10 @@
 //!   refine, so recomputing them per hot-swap is cheaper than caching
 //!   them.
 //!
-//! Both then run the same loop: fit every configured model, checkpoint
-//! it into the registry's store, and hot-swap the registry without
-//! dropping in-flight requests (they keep the version they admitted
-//! with). The run's [`RunReport`] is surfaced on `GET /metrics`: per
+//! Both then run the same loop: fit every configured model, save it
+//! as a checkpoint frame in the registry's directory, and hot-swap
+//! the registry without dropping in-flight requests (they keep the
+//! version they admitted with). The run's [`RunReport`] is surfaced on `GET /metrics`: per
 //! stage for a batch run, per `{stage, slice}` plus a wall-clock
 //! staleness gauge (`nd_stream_staleness_ms` — time since the serving
 //! models last caught up with the firehose head) for a stream advance.
@@ -38,7 +38,6 @@ use nd_core::stage::correlated_events;
 use nd_core::trending::extract_trending;
 use nd_core::RunReport;
 use nd_neural::{Trainer, TrainerConfig};
-use nd_store::Database;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -94,15 +93,14 @@ pub struct StreamRetrainSpec {
 }
 
 /// The one retrain loop behind both reload kinds: fits every model on
-/// `dataset`, checkpoints each into the registry's store, and
-/// hot-swaps the registry to the new versions.
+/// `dataset`, saves each as a checkpoint frame in the registry's
+/// directory, and hot-swaps the registry to the new versions.
 fn train_and_swap(
     registry: &Registry,
     predict: &PredictConfig,
     models: &[RetrainModel],
     dataset: &Dataset,
 ) -> Result<Vec<SwapEvent>, ServeError> {
-    let mut db = Database::open(registry.db_dir())?;
     let trainer = Trainer::new(TrainerConfig {
         batch_size: predict.batch_size,
         max_epochs: predict.max_epochs,
@@ -117,15 +115,14 @@ fn train_and_swap(
             Target::Retweets => &dataset.y_retweets,
         };
         trainer.fit(&mut network, &dataset.x, y, optimizer.as_mut());
-        save_checkpoint(&mut db, &model.name, &network)?;
+        save_checkpoint(registry.db_dir(), &model.name, &network)?;
     }
-    drop(db);
     registry.refresh()
 }
 
 /// Runs the pipeline against `run_dir`'s artifact cache, retrains every
-/// model in `spec`, checkpoints the results into the registry's store,
-/// and hot-swaps the registry to the new versions.
+/// model in `spec`, checkpoints the results into the registry's
+/// directory, and hot-swaps the registry to the new versions.
 ///
 /// Returns the pipeline's per-stage report (cache status, wall time,
 /// artifact bytes), the registry swap events, and the run's mined
@@ -219,8 +216,8 @@ impl StreamRetrainer {
     ///
     /// # Errors
     /// [`ServeError::Config`] when the firehose is exhausted;
-    /// [`ServeError::Core`] / [`ServeError::Store`] when a fold or
-    /// checkpoint write fails.
+    /// [`ServeError::Core`] when a fold or checkpoint write fails, or
+    /// when the refresh cannot load a saved checkpoint.
     pub fn advance(&self, registry: &Registry) -> Result<SliceRetrain, ServeError> {
         let mut head = self.head.lock().unwrap_or_else(PoisonError::into_inner);
         if head.slices >= self.horizon() {
@@ -317,10 +314,7 @@ mod tests {
         stream.embed_epochs = 1;
         let dim = stream.embed_dim;
         let build = move || NetworkKind::Mlp1.build(dim, 7);
-        {
-            let mut db = Database::open(&db_dir).expect("open store");
-            save_checkpoint(&mut db, "likes", &build()).expect("seed checkpoint");
-        }
+        save_checkpoint(&db_dir, "likes", &build()).expect("seed checkpoint");
         let specs = vec![ModelSpec::new("likes", dim, build)];
         let registry = Registry::load(&db_dir, specs, 2).expect("registry");
         let retrainer = StreamRetrainer::new(StreamRetrainSpec {

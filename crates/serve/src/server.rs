@@ -1193,7 +1193,6 @@ mod tests {
     use nd_core::checkpoint::save_checkpoint;
     use nd_core::predict::build_mlp;
     use nd_linalg::Mat;
-    use nd_store::Database;
     use std::io::{Read, Write};
     use std::path::PathBuf;
 
@@ -1212,10 +1211,7 @@ mod tests {
     }
 
     fn likes_registry(dir: &PathBuf, dim: usize) -> Registry {
-        {
-            let mut db = Database::open(dir).unwrap();
-            save_checkpoint(&mut db, "likes", &build_mlp(dim, 11)).unwrap();
-        }
+        save_checkpoint(dir, "likes", &build_mlp(dim, 11)).unwrap();
         let spec = ModelSpec::new("likes", dim, move || build_mlp(dim, 0));
         Registry::load(dir, vec![spec], 2).unwrap()
     }
@@ -1606,10 +1602,7 @@ mod tests {
         assert_eq!(noop.status, 200);
         assert_eq!(noop.json().unwrap()["swapped"].as_array().unwrap().len(), 0);
 
-        {
-            let mut db = Database::open(&dir).unwrap();
-            save_checkpoint(&mut db, "likes", &build_mlp(6, 77)).unwrap();
-        }
+        save_checkpoint(&dir, "likes", &build_mlp(6, 77)).unwrap();
         let reload = client.post_json("/admin/reload", &json!({})).unwrap();
         assert_eq!(reload.status, 200);
         let swapped = reload.json().unwrap();

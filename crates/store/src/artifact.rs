@@ -14,9 +14,10 @@
 //! defect — missing file, torn write, truncation, checksum or
 //! fingerprint mismatch — because the caller can always recompute;
 //! corruption must degrade to a cache miss, never to an error.
-//! Writes go through a temp file + rename so a crash mid-write leaves
-//! either the old artifact or a stray temp file, never a half-written
-//! frame under the final name.
+//! Writes go through a temp file synced before the rename, and the
+//! directory is synced after it, so a crash leaves either the old
+//! artifact or a stray temp file, never a torn frame under the final
+//! name, and a save that returned survives it.
 //!
 //! Payload encoding is the caller's business via [`ByteWriter`] /
 //! [`ByteReader`]: little-endian fixed-width integers and
@@ -26,7 +27,8 @@
 
 use crate::error::Result;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::PathBuf;
 
 /// Artifact frame magic: identifies the format and its version.
 /// Bump the trailing digit when the frame layout changes.
@@ -294,19 +296,14 @@ impl ArtifactStore {
         Ok(ArtifactStore { dir })
     }
 
-    /// The backing directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the artifact file for `(name, fingerprint)`.
     pub fn path_for(&self, name: &str, fingerprint: u64) -> PathBuf {
         self.dir.join(format!("{name}-{fingerprint:016x}.art"))
     }
 
-    /// Persists a payload under `(name, fingerprint)`, atomically
-    /// (temp file + rename). Returns the total bytes written,
-    /// header included.
+    /// Persists a payload under `(name, fingerprint)`, atomically and
+    /// durably (temp file, data sync, rename, directory sync). Returns
+    /// the total bytes written, header included.
     pub fn save(&self, name: &str, fingerprint: u64, payload: &[u8]) -> Result<u64> {
         let mut frame = Vec::with_capacity(HEADER + payload.len());
         frame.extend_from_slice(MAGIC);
@@ -315,9 +312,35 @@ impl ArtifactStore {
         frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         let tmp = self.dir.join(format!(".{name}-{fingerprint:016x}.{}.tmp", std::process::id()));
-        std::fs::write(&tmp, &frame)?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&frame)?;
+        file.sync_data()?;
         std::fs::rename(&tmp, self.path_for(name, fingerprint))?;
+        // The new name itself is durable only once the directory is.
+        std::fs::File::open(&self.dir)?.sync_all()?;
         Ok(frame.len() as u64)
+    }
+
+    /// Fingerprints of the artifacts saved under `name`, ascending.
+    /// Only files named exactly `<name>-<16 lowercase hex>.art` count,
+    /// so `likes` never lists `likes-mlp-…`, and temp files are skipped.
+    pub fn fingerprints(&self, name: &str) -> Result<Vec<u64>> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(&self.dir)? {
+            let file = entry?.file_name();
+            let rest = file.to_str().and_then(|f| f.strip_prefix(name)?.strip_prefix('-'));
+            let hex = rest.and_then(|f| f.strip_suffix(".art")).filter(|h| {
+                h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+            });
+            out.extend(hex.and_then(|h| u64::from_str_radix(h, 16).ok()));
+        }
+        out.sort_unstable();
+        Ok(out)
+    }
+
+    /// Deletes the artifact for `(name, fingerprint)`.
+    pub fn remove(&self, name: &str, fingerprint: u64) -> Result<()> {
+        Ok(std::fs::remove_file(self.path_for(name, fingerprint))?)
     }
 
     /// Loads the payload for `(name, fingerprint)`.
@@ -466,6 +489,28 @@ mod tests {
         // Restoring the original frame heals the cache entry.
         std::fs::write(&path, &full).unwrap();
         assert_eq!(store.load("events", 0xabcd).unwrap(), payload);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fingerprints_list_one_name_ascending_and_remove_deletes() {
+        let dir = tmpdir("list");
+        let store = ArtifactStore::open(&dir).unwrap();
+        for fp in [3, 0x1_0000_0000, 1] {
+            store.save("likes", fp, b"x").unwrap();
+        }
+        store.save("likes-mlp", 2, b"x").unwrap();
+        std::fs::write(dir.join(".likes-0000000000000004.9.tmp"), b"x").unwrap();
+        std::fs::write(dir.join("likes-000000000000000A.art"), b"x").unwrap();
+        std::fs::write(dir.join("likes-+00000000000000b.art"), b"x").unwrap();
+        std::fs::write(dir.join("wal.log"), b"x").unwrap();
+        assert_eq!(store.fingerprints("likes").unwrap(), vec![1, 3, 0x1_0000_0000]);
+        assert_eq!(store.fingerprints("likes-mlp").unwrap(), vec![2]);
+        assert!(store.fingerprints("retweets").unwrap().is_empty());
+        store.remove("likes", 3).unwrap();
+        assert_eq!(store.fingerprints("likes").unwrap(), vec![1, 0x1_0000_0000]);
+        assert!(store.load("likes", 3).is_none());
+        assert!(store.remove("likes", 3).is_err(), "removing a missing artifact fails");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -81,11 +81,6 @@ impl Database {
         Ok(Database { dir, collections, wal, generation })
     }
 
-    /// Directory backing this database.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Gets (creating if absent) a collection by name.
     pub fn collection(&mut self, name: &str) -> &mut Collection {
         self.collections
@@ -143,6 +138,14 @@ impl Database {
     /// Snapshot generation (increments on every [`Database::compact`]).
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+}
+
+/// The directory backing the database, so it can be passed where a
+/// store directory is expected (the checkpoint functions).
+impl AsRef<Path> for Database {
+    fn as_ref(&self) -> &Path {
+        &self.dir
     }
 }
 

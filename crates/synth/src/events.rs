@@ -42,11 +42,6 @@ impl GroundTruthEvent {
         self.intensity * tri
     }
 
-    /// `true` when `ts` falls inside the burst window.
-    pub fn active(&self, ts: u64) -> bool {
-        ts >= self.start && ts < self.end
-    }
-
     /// Burst envelope as seen on Twitter: the news envelope delayed by
     /// [`Self::twitter_lag`].
     pub fn twitter_envelope(&self, ts: u64) -> f64 {

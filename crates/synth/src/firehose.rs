@@ -19,13 +19,13 @@
 //! within the slice); the collect fold globalizes them by offsetting
 //! with the cumulative counts of earlier slices.
 
-use crate::events::{plant_events, GroundTruthEvent};
-use crate::news_gen;
+use crate::events::GroundTruthEvent;
 use crate::time::HOUR;
-use crate::topics::{topic_inventory, TopicKind, TopicSpec};
-use crate::tweet_gen;
-use crate::users::{generate_users, User};
-use crate::world::{NewsArticle, Tweet, WorldConfig};
+#[cfg(test)]
+use crate::topics::TopicKind;
+use crate::topics::TopicSpec;
+use crate::users::User;
+use crate::world::{GroundTruth, NewsArticle, Tweet, WorldConfig};
 use nd_linalg::rng::SplitMix64;
 
 /// Firehose parameters: a world configuration plus the slice width.
@@ -104,25 +104,16 @@ pub struct TimeSlice {
 #[derive(Debug, Clone)]
 pub struct Firehose {
     config: FirehoseConfig,
-    topics: Vec<TopicSpec>,
-    events: Vec<GroundTruthEvent>,
-    users: Vec<User>,
-    author_weights: Vec<f64>,
+    truth: GroundTruth,
 }
 
 impl Firehose {
     /// Builds the firehose: plants events and generates the user
-    /// population over the full horizon, exactly as `World::generate`
-    /// does.
+    /// population over the full horizon, with the same ground truth
+    /// `World::generate` builds.
     pub fn new(config: FirehoseConfig) -> Firehose {
-        let topics = topic_inventory();
-        let events =
-            plant_events(&topics, config.world.start, config.world.days, config.world.seed);
-        let users =
-            generate_users(config.world.n_users, config.world.min_influencers, config.world.seed);
-        let author_weights: Vec<f64> =
-            users.iter().map(|u| 1.0 + (u.followers as f64).sqrt() / 40.0).collect();
-        Firehose { config, topics, events, users, author_weights }
+        let truth = GroundTruth::new(&config.world);
+        Firehose { config, truth }
     }
 
     /// The configuration the firehose was built from.
@@ -137,17 +128,17 @@ impl Firehose {
 
     /// Topic inventory (index space for `gt_topic`).
     pub fn topics(&self) -> &[TopicSpec] {
-        &self.topics
+        &self.truth.topics
     }
 
     /// Planted ground-truth events.
     pub fn events(&self) -> &[GroundTruthEvent] {
-        &self.events
+        &self.truth.events
     }
 
     /// User population.
     pub fn users(&self) -> &[User] {
-        &self.users
+        &self.truth.users
     }
 
     /// `[start, end)` bounds of slice `k` in unix seconds.
@@ -174,104 +165,16 @@ impl Firehose {
     /// Generates slice `k`. Bit-identical for the same `(config, k)`
     /// regardless of when — or how often — it is drawn.
     ///
-    /// The per-hour emission logic mirrors `World::generate` exactly
-    /// (burst envelopes, virality, engagement sampling); only the RNG
-    /// stream is slice-scoped.
+    /// The per-hour emission is `World::generate`'s own routine (burst
+    /// envelopes, virality, engagement sampling); only the RNG stream
+    /// is slice-scoped.
     ///
     /// # Panics
     /// When `k` is outside the horizon.
     pub fn poll(&self, k: usize) -> TimeSlice {
         let (start, end) = self.slice_bounds(k);
-        let config = &self.config.world;
-        let mut rng = self.slice_rng(k);
-        let mut articles = Vec::new();
-        let mut tweets = Vec::new();
-
-        let mut ts_hour = start;
-        while ts_hour < end {
-            for (topic_idx, spec) in self.topics.iter().enumerate() {
-                let news_burst: f64 = self
-                    .events
-                    .iter()
-                    .filter(|e| e.topic == topic_idx)
-                    .map(|e| e.envelope(ts_hour))
-                    .fold(0.0, f64::max);
-                let burst: f64 = self
-                    .events
-                    .iter()
-                    .filter(|e| e.topic == topic_idx)
-                    .map(|e| e.twitter_envelope(ts_hour))
-                    .fold(0.0, f64::max);
-
-                // --- News ---
-                if spec.kind == TopicKind::NewsAndTwitter {
-                    let rate = config.news_base_rate * (1.0 + news_burst);
-                    for _ in 0..news_gen::sample_poisson(rate, &mut rng) {
-                        let ts = ts_hour + rng.next_usize(HOUR as usize) as u64;
-                        let content = news_gen::article_body(spec.keywords, &mut rng);
-                        articles.push(NewsArticle {
-                            id: articles.len() as u64,
-                            timestamp: ts,
-                            source: news_gen::pick_source(&mut rng).to_string(),
-                            title: news_gen::headline(spec.keywords, &mut rng),
-                            snippet: news_gen::snippet_of(&content),
-                            content,
-                            gt_topic: topic_idx,
-                        });
-                    }
-                }
-
-                // --- Tweets ---
-                let tweet_burst_gain =
-                    if spec.kind == TopicKind::NewsAndTwitter { 1.3 } else { 1.0 };
-                let rate = config.tweet_base_rate * (1.0 + tweet_burst_gain * burst);
-                let peak: f64 = self
-                    .events
-                    .iter()
-                    .filter(|e| e.topic == topic_idx)
-                    .filter(|e| e.twitter_envelope(ts_hour) > 0.0)
-                    .map(|e| e.intensity)
-                    .fold(0.0, f64::max);
-                let virality = if peak > 0.0 {
-                    spec.virality * (0.45 + 0.55 * (peak / 10.0).min(1.0))
-                } else {
-                    spec.virality * 0.35
-                };
-                for _ in 0..news_gen::sample_poisson(rate, &mut rng) {
-                    let ts = ts_hour + rng.next_usize(HOUR as usize) as u64;
-                    let author = &self.users[rng.sample_weighted(&self.author_weights)];
-                    let engagement = config.engagement.sample(
-                        virality,
-                        author.follower_bucket(),
-                        ts,
-                        &mut rng,
-                    );
-                    tweets.push(Tweet {
-                        id: tweets.len() as u64,
-                        timestamp: ts,
-                        author_id: author.id,
-                        author_handle: author.handle.clone(),
-                        author_followers: author.followers,
-                        text: tweet_gen::tweet_text(spec.keywords, &mut rng),
-                        likes: engagement.likes,
-                        retweets: engagement.retweets,
-                        gt_topic: topic_idx,
-                        gt_virality: virality,
-                    });
-                }
-            }
-            ts_hour += HOUR;
-        }
-
-        articles.sort_by_key(|a| a.timestamp);
-        tweets.sort_by_key(|t| t.timestamp);
-        for (i, a) in articles.iter_mut().enumerate() {
-            a.id = i as u64;
-        }
-        for (i, t) in tweets.iter_mut().enumerate() {
-            t.id = i as u64;
-        }
-
+        let (articles, tweets) =
+            self.truth.emit(&self.config.world, start, end, &mut self.slice_rng(k));
         TimeSlice { index: k, start, end, articles, tweets }
     }
 }

@@ -4,6 +4,8 @@
 //! walks the collection window hour by hour emitting news articles and
 //! tweets whose rates follow the planted burst envelopes. Engagement
 //! (likes/retweets) is drawn from the calibrated ground-truth model.
+//! The firehose shares the same ground truth and emission routine
+//! (`GroundTruth`), with one RNG stream per slice.
 
 use crate::engagement::EngagementModel;
 use crate::events::{plant_events, GroundTruthEvent};
@@ -128,50 +130,66 @@ pub struct World {
     pub tweets: Vec<Tweet>,
 }
 
-impl World {
-    /// Generates a world deterministically from the configuration.
-    pub fn generate(config: WorldConfig) -> World {
+/// The ground truth every generator shares: the topic inventory, the
+/// planted events, the user population and the authors' sampling
+/// weights. [`World::generate`] emits the whole window from it in one
+/// RNG stream; the firehose emits each slice from its own stream.
+#[derive(Debug, Clone)]
+pub(crate) struct GroundTruth {
+    pub(crate) topics: Vec<TopicSpec>,
+    pub(crate) events: Vec<GroundTruthEvent>,
+    pub(crate) users: Vec<User>,
+    author_weights: Vec<f64>,
+}
+
+impl GroundTruth {
+    /// Plants events and generates the users over the full horizon.
+    pub(crate) fn new(config: &WorldConfig) -> Self {
         let topics = topic_inventory();
         let events = plant_events(&topics, config.start, config.days, config.seed);
         let users = generate_users(config.n_users, config.min_influencers, config.seed);
-        let mut rng = SplitMix64::new(config.seed ^ 0xA11CE);
-
         // Author sampling weights: influencers tweet more.
-        let author_weights: Vec<f64> =
+        let author_weights =
             users.iter().map(|u| 1.0 + (u.followers as f64).sqrt() / 40.0).collect();
+        GroundTruth { topics, events, users, author_weights }
+    }
 
+    /// Walks `[start, end)` hour by hour, emitting news articles and
+    /// tweets whose rates follow the planted burst envelopes, with
+    /// every draw taken from `rng`. Both corpora come back sorted by
+    /// timestamp with dense ids from 0.
+    pub(crate) fn emit(
+        &self,
+        config: &WorldConfig,
+        start: u64,
+        end: u64,
+        rng: &mut SplitMix64,
+    ) -> (Vec<NewsArticle>, Vec<Tweet>) {
         let mut articles = Vec::new();
         let mut tweets = Vec::new();
-        let n_hours = config.days * 24;
-
-        for h in 0..n_hours {
-            let ts_hour = config.start + h * HOUR;
-            for (topic_idx, spec) in topics.iter().enumerate() {
+        let mut ts_hour = start;
+        while ts_hour < end {
+            for (topic_idx, spec) in self.topics.iter().enumerate() {
                 // Strongest active burst envelope for this topic —
                 // news sees the envelope directly, Twitter sees it
                 // after the per-event echo lag.
-                let news_burst: f64 = events
-                    .iter()
-                    .filter(|e| e.topic == topic_idx)
-                    .map(|e| e.envelope(ts_hour))
-                    .fold(0.0, f64::max);
-                let burst: f64 = events
-                    .iter()
-                    .filter(|e| e.topic == topic_idx)
-                    .map(|e| e.twitter_envelope(ts_hour))
-                    .fold(0.0, f64::max);
+                let topic_events = || self.events.iter().filter(move |e| e.topic == topic_idx);
+                let news_burst: f64 =
+                    topic_events().map(|e| e.envelope(ts_hour)).fold(0.0, f64::max);
+                let burst: f64 =
+                    topic_events().map(|e| e.twitter_envelope(ts_hour)).fold(0.0, f64::max);
 
                 // --- News ---
                 if spec.kind == TopicKind::NewsAndTwitter {
                     let rate = config.news_base_rate * (1.0 + news_burst);
-                    for _ in 0..news_gen::sample_poisson(rate, &mut rng) {
+                    for _ in 0..news_gen::sample_poisson(rate, rng) {
                         let ts = ts_hour + rng.next_usize(HOUR as usize) as u64;
-                        let content = news_gen::article_body(spec.keywords, &mut rng);
+                        let content = news_gen::article_body(spec.keywords, rng);
                         articles.push(NewsArticle {
                             id: articles.len() as u64,
                             timestamp: ts,
-                            source: news_gen::pick_source(&mut rng).to_string(),
-                            title: news_gen::headline(spec.keywords, &mut rng),
+                            source: news_gen::pick_source(rng).to_string(),
+                            title: news_gen::headline(spec.keywords, rng),
                             snippet: news_gen::snippet_of(&content),
                             content,
                             gt_topic: topic_idx,
@@ -189,9 +207,7 @@ impl World {
                 // the event — the signal a per-event document
                 // embedding can actually recover); background chatter
                 // gets the dampened topic base.
-                let peak: f64 = events
-                    .iter()
-                    .filter(|e| e.topic == topic_idx)
+                let peak: f64 = topic_events()
                     .filter(|e| e.twitter_envelope(ts_hour) > 0.0)
                     .map(|e| e.intensity)
                     .fold(0.0, f64::max);
@@ -200,22 +216,18 @@ impl World {
                 } else {
                     spec.virality * 0.35
                 };
-                for _ in 0..news_gen::sample_poisson(rate, &mut rng) {
+                for _ in 0..news_gen::sample_poisson(rate, rng) {
                     let ts = ts_hour + rng.next_usize(HOUR as usize) as u64;
-                    let author = &users[rng.sample_weighted(&author_weights)];
-                    let engagement = config.engagement.sample(
-                        virality,
-                        author.follower_bucket(),
-                        ts,
-                        &mut rng,
-                    );
+                    let author = &self.users[rng.sample_weighted(&self.author_weights)];
+                    let engagement =
+                        config.engagement.sample(virality, author.follower_bucket(), ts, rng);
                     tweets.push(Tweet {
                         id: tweets.len() as u64,
                         timestamp: ts,
                         author_id: author.id,
                         author_handle: author.handle.clone(),
                         author_followers: author.followers,
-                        text: tweet_gen::tweet_text(spec.keywords, &mut rng),
+                        text: tweet_gen::tweet_text(spec.keywords, rng),
                         likes: engagement.likes,
                         retweets: engagement.retweets,
                         gt_topic: topic_idx,
@@ -223,6 +235,7 @@ impl World {
                     });
                 }
             }
+            ts_hour += HOUR;
         }
 
         articles.sort_by_key(|a| a.timestamp);
@@ -234,7 +247,18 @@ impl World {
         for (i, t) in tweets.iter_mut().enumerate() {
             t.id = i as u64;
         }
+        (articles, tweets)
+    }
+}
 
+impl World {
+    /// Generates a world deterministically from the configuration.
+    pub fn generate(config: WorldConfig) -> World {
+        let truth = GroundTruth::new(&config);
+        let mut rng = SplitMix64::new(config.seed ^ 0xA11CE);
+        let end = config.start + config.days * 24 * HOUR;
+        let (articles, tweets) = truth.emit(&config, config.start, end, &mut rng);
+        let GroundTruth { topics, events, users, .. } = truth;
         World { config, topics, events, users, articles, tweets }
     }
 

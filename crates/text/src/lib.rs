@@ -13,10 +13,10 @@
 //!   original MABED preprocessing.
 //!
 //! This crate provides those pipelines ([`pipeline`]) and the pieces
-//! they are built from: a social-media-aware [`tokenizer`], a full
-//! [Porter stemmer](stemmer), a rule-plus-exception English
-//! [`lemmatizer`], a standard English [stopword list](stopwords), and
-//! a heuristic capitalized-span [named-entity recognizer](ner).
+//! they are built from: a social-media-aware [`tokenizer`], a
+//! rule-plus-exception English [`lemmatizer`], a standard English
+//! [stopword list](stopwords), and a heuristic capitalized-span
+//! [named-entity recognizer](ner).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,13 +25,11 @@ pub mod lemmatizer;
 pub mod ner;
 pub mod pipeline;
 pub mod sentence;
-pub mod stemmer;
 pub mod stopwords;
 pub mod tokenizer;
 
 pub use lemmatizer::lemmatize;
 pub use ner::extract_entities;
 pub use pipeline::{preprocess_event_detection, preprocess_topic_modeling};
-pub use stemmer::porter_stem;
 pub use stopwords::is_stopword;
 pub use tokenizer::{tokenize, Token, TokenKind};

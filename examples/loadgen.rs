@@ -33,7 +33,6 @@ use newsdiff::serve::loadgen::{
 };
 use newsdiff::serve::shard::ShardConfig;
 use newsdiff::serve::{BatchConfig, Client, ServeConfig};
-use newsdiff::store::Database;
 use serde_json::{json, Value};
 use std::error::Error;
 use std::net::SocketAddr;
@@ -106,14 +105,11 @@ fn print_summary(title: &str, s: &LoadSummary, json: bool) {
     );
 }
 
-/// Checkpoints a new version of `m0` into the fixture's store, hot-swaps
+/// Checkpoints a new version of `m0` into the fixture's directory, hot-swaps
 /// it in with `POST /admin/reload`, and checks that the reply lists the
 /// swap and that `GET /models` then serves the new version.
 fn swap_m0(dir: &Path, addr: SocketAddr, dim: usize) -> Result<u64, Box<dyn Error>> {
-    let version = {
-        let mut db = Database::open(dir)?;
-        save_checkpoint(&mut db, "m0", &build_mlp(dim, 2000))?
-    };
+    let version = save_checkpoint(dir, "m0", &build_mlp(dim, 2000))?;
     // Whether `list` holds an entry naming m0 under `key` at `version` under `at`.
     let lists = |list: &Value, key: &str, at: &str| {
         list.as_array().is_some_and(|items| {

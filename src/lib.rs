@@ -29,8 +29,8 @@
 /// Dense linear algebra (matrices, SVD, statistics, seeded RNG).
 pub use nd_linalg as linalg;
 
-/// Text preprocessing (tokenizer, lemmatizer, stemmer, NER, the
-/// paper's three pipelines).
+/// Text preprocessing (tokenizer, lemmatizer, NER, the paper's three
+/// pipelines).
 pub use nd_text as text;
 
 /// Document vectorization (vocabulary, CSR matrices, TF-IDF family).
