@@ -83,6 +83,9 @@ NEWSDIFF_THREADS=4 cargo test -q --workspace
 echo "==> clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (broken or private intra-doc links fail the build)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> nd-lint (workspace invariants: determinism, panic-safety, lock order, error flow)"
 cargo run -q --release -p nd-lint -- --deny --json > lint_report.json
 

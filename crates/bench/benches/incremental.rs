@@ -16,7 +16,8 @@
 //! onto a warm prefix must sit well over 5x under the cold re-run
 //! (the acceptance floor for the streaming subsystem). The gap from
 //! `fold_one_slice` down to `fold_one_slice_from_memory` is the decode
-//! of the previous head that a served advance no longer pays.
+//! of the previous head, and the copy a replayed `prev` gets, that a
+//! served advance no longer pays.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use nd_core::incremental::{fold_stages, StreamConfig, StreamPipeline};

@@ -3,7 +3,7 @@
 //! The deployed system refreshes its datasets every two hours and
 //! "uses checkpoints to continue the training as new data is added in
 //! real time", swapping models in as retraining finishes. Each saved
-//! version of a network is one NDART01 frame `<name>-<version:016x>.art`
+//! version of a network is one NDART02 frame `<name>-<version:016x>.art`
 //! in a store directory: the layer count, then each layer's parameters
 //! as `f64::to_bits` words, so a restored network is bit-identical and
 //! a restarted process resumes from the last checkpoint instead of
@@ -43,9 +43,13 @@ pub fn save_checkpoint(dir: impl AsRef<Path>, name: &str, network: &Network) -> 
 }
 
 /// Highest checkpoint version stored under `name`; `None` when there
-/// is none, the name is invalid or the directory cannot be listed.
-pub fn latest_version(dir: impl AsRef<Path>, name: &str) -> Option<u64> {
-    versions(dir.as_ref(), name).ok()?.1.last().copied()
+/// is none.
+///
+/// # Errors
+/// [`CoreError::Artifact`] for an invalid name; a store error when the
+/// directory cannot be created or listed.
+pub fn latest_version(dir: impl AsRef<Path>, name: &str) -> Result<Option<u64>> {
+    Ok(versions(dir.as_ref(), name)?.1.last().copied())
 }
 
 /// Decodes a payload written by [`save_checkpoint`].
@@ -136,7 +140,7 @@ mod tests {
         let net_b = build_mlp(6, 2);
         assert_eq!(save_checkpoint(&dir, "m", &net_a).unwrap(), 1);
         assert_eq!(save_checkpoint(&dir, "m", &net_b).unwrap(), 2);
-        assert_eq!(latest_version(&dir, "m"), Some(2));
+        assert_eq!(latest_version(&dir, "m").unwrap(), Some(2));
 
         let mut restored = build_mlp(6, 3);
         load_checkpoint(&dir, "m", &mut restored).unwrap();
@@ -166,7 +170,11 @@ mod tests {
         let mut flipped = full.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
-        for bad in [flipped, full[..full.len() / 2].to_vec()] {
+        // An NDART01 frame: the older magic and its byte-wise checksum.
+        let mut ndart01 = full.clone();
+        ndart01[..8].copy_from_slice(b"NDART01\n");
+        ndart01[24..32].copy_from_slice(&nd_store::fnv1a64(&full[32..]).to_le_bytes());
+        for bad in [flipped, full[..full.len() / 2].to_vec(), ndart01] {
             std::fs::write(&path, &bad).unwrap();
             let mut restored = build_mlp(6, 2);
             let err = load_checkpoint(&dir, "m", &mut restored).unwrap_err();
@@ -196,7 +204,7 @@ mod tests {
             assert!(matches!(save_checkpoint(&dir, name, &net), Err(CoreError::Artifact(_))));
             assert!(matches!(load_checkpoint(&dir, name, &mut net), Err(CoreError::Artifact(_))));
             assert!(matches!(prune_checkpoints(&dir, name, 1), Err(CoreError::Artifact(_))));
-            assert_eq!(latest_version(&dir, name), None);
+            assert!(matches!(latest_version(&dir, name), Err(CoreError::Artifact(_))));
         }
         assert!(!dir.join("a").exists(), "a rejected name creates no subdirectory");
         std::fs::remove_dir_all(&dir).ok();
@@ -211,7 +219,7 @@ mod tests {
         }
         let removed = prune_checkpoints(&dir, "m", 2).unwrap();
         assert_eq!(removed, 3);
-        assert_eq!(latest_version(&dir, "m"), Some(5));
+        assert_eq!(latest_version(&dir, "m").unwrap(), Some(5));
         assert_eq!(frames(&dir, "m"), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -224,9 +232,9 @@ mod tests {
         save_checkpoint(&dir, "retweets", &net).unwrap();
         save_checkpoint(&dir, "likes", &net).unwrap();
         save_checkpoint(&dir, "likes-mlp", &net).unwrap();
-        assert_eq!(latest_version(&dir, "likes"), Some(2));
-        assert_eq!(latest_version(&dir, "retweets"), Some(1));
-        assert_eq!(latest_version(&dir, "likes-mlp"), Some(1));
+        assert_eq!(latest_version(&dir, "likes").unwrap(), Some(2));
+        assert_eq!(latest_version(&dir, "retweets").unwrap(), Some(1));
+        assert_eq!(latest_version(&dir, "likes-mlp").unwrap(), Some(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

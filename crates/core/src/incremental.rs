@@ -260,17 +260,38 @@ pub trait FoldStage: Sync {
 
     /// Consumes `(previous own artifact, upstream artifacts at this
     /// slice, the new slice)` and produces the artifact at this
-    /// slice. `prev` is `None` exactly at slice 0.
+    /// slice. `prev` is `None` exactly at slice 0. It arrives by value,
+    /// so a stage whose state only grows (collect, preprocess,
+    /// vectorize, events) extends it in place instead of copying the
+    /// whole history first.
     ///
     /// # Errors
     /// Stage-specific [`CoreError`]s.
+    fn fold_owned(
+        &self,
+        config: &StreamConfig,
+        prev: Option<StreamArtifact>,
+        ups: &[&StreamArtifact],
+        slice: &TimeSlice,
+    ) -> Result<StreamArtifact>;
+
+    /// [`fold_owned`](Self::fold_owned) on a clone of `prev`, for a
+    /// caller that still needs `prev` afterwards; the output is the
+    /// same, bit for bit. The executor moves `prev` instead wherever no
+    /// other node reads it again. perfbench's replay probe refolds
+    /// cached artifacts through this method.
+    ///
+    /// # Errors
+    /// As [`fold_owned`](Self::fold_owned).
     fn fold(
         &self,
         config: &StreamConfig,
         prev: Option<&StreamArtifact>,
         ups: &[&StreamArtifact],
         slice: &TimeSlice,
-    ) -> Result<StreamArtifact>;
+    ) -> Result<StreamArtifact> {
+        self.fold_owned(config, prev.cloned(), ups, slice)
+    }
 
     /// Serializes the stage's artifact bit-exactly.
     ///
@@ -338,15 +359,15 @@ impl FoldStage for StreamCollectStage {
     fn config_fingerprint(&self, config: &StreamConfig) -> u64 {
         config.firehose.fingerprint()
     }
-    fn fold(
+    fn fold_owned(
         &self,
         _config: &StreamConfig,
-        prev: Option<&StreamArtifact>,
+        prev: Option<StreamArtifact>,
         _ups: &[&StreamArtifact],
         slice: &TimeSlice,
     ) -> Result<StreamArtifact> {
         let mut world = match prev {
-            Some(p) => p.as_world()?.clone(),
+            Some(p) => p.into_world()?,
             None => StreamWorld::default(),
         };
         world.slices.push(SliceMeta {
@@ -397,16 +418,16 @@ impl FoldStage for StreamPreprocessStage {
     fn config_fingerprint(&self, _config: &StreamConfig) -> u64 {
         0
     }
-    fn fold(
+    fn fold_owned(
         &self,
         _config: &StreamConfig,
-        prev: Option<&StreamArtifact>,
+        prev: Option<StreamArtifact>,
         ups: &[&StreamArtifact],
         _slice: &TimeSlice,
     ) -> Result<StreamArtifact> {
         let world = ups[0].as_world()?;
         let mut corpora = match prev {
-            Some(p) => p.as_corpora()?.clone(),
+            Some(p) => p.into_corpora()?,
             None => Corpora { news_tm: Vec::new(), news_ed: Vec::new(), twitter_ed: Vec::new() },
         };
         let new_articles = &world.articles[corpora.news_tm.len()..];
@@ -533,16 +554,16 @@ impl FoldStage for StreamVectorizeStage {
     fn config_fingerprint(&self, _config: &StreamConfig) -> u64 {
         0
     }
-    fn fold(
+    fn fold_owned(
         &self,
         _config: &StreamConfig,
-        prev: Option<&StreamArtifact>,
+        prev: Option<StreamArtifact>,
         ups: &[&StreamArtifact],
         _slice: &TimeSlice,
     ) -> Result<StreamArtifact> {
         let corpora = ups[0].as_corpora()?;
         let mut dtm = match prev {
-            Some(p) => p.as_dtm()?.clone(),
+            Some(p) => p.into_dtm()?,
             None => IncrementalDtm::new(Weighting::TfIdfNormalized),
         };
         dtm.push_docs(&corpora.news_tm[dtm.n_docs()..]);
@@ -587,16 +608,16 @@ impl FoldStage for StreamTopicStage {
     fn config_fingerprint(&self, config: &StreamConfig) -> u64 {
         chain_fingerprint(&[debug_fingerprint(&config.topic), config.refine_iters as u64])
     }
-    fn fold(
+    fn fold_owned(
         &self,
         config: &StreamConfig,
-        prev: Option<&StreamArtifact>,
+        prev: Option<StreamArtifact>,
         ups: &[&StreamArtifact],
         _slice: &TimeSlice,
     ) -> Result<StreamArtifact> {
         let dtm = ups[0].as_dtm()?;
         let a = dtm.weighted(config.topic.min_df, config.topic.max_df_ratio);
-        let warm_topics = match prev {
+        let warm_topics = match &prev {
             Some(p) => Some(p.as_topics()?),
             None => None,
         };
@@ -677,17 +698,17 @@ impl FoldStage for StreamEventStage {
     fn config_fingerprint(&self, config: &StreamConfig) -> u64 {
         chain_fingerprint(&[debug_fingerprint(&config.event), config.window_slices])
     }
-    fn fold(
+    fn fold_owned(
         &self,
         config: &StreamConfig,
-        prev: Option<&StreamArtifact>,
+        prev: Option<StreamArtifact>,
         ups: &[&StreamArtifact],
         slice: &TimeSlice,
     ) -> Result<StreamArtifact> {
         let corpora = ups[0].as_corpora()?;
         let horizon = config.window_slices * config.firehose.slice_hours * 3600;
         let mut ev = match prev {
-            Some(p) => p.as_events()?.clone(),
+            Some(p) => p.into_events()?,
             None => StreamEvents {
                 news_window: SlidingWindow::new(horizon),
                 twitter_window: SlidingWindow::new(horizon),
@@ -775,15 +796,15 @@ impl FoldStage for StreamEmbedStage {
             config.firehose.world.seed,
         ])
     }
-    fn fold(
+    fn fold_owned(
         &self,
         config: &StreamConfig,
-        prev: Option<&StreamArtifact>,
+        prev: Option<StreamArtifact>,
         ups: &[&StreamArtifact],
         slice: &TimeSlice,
     ) -> Result<StreamArtifact> {
         let corpora = ups[0].as_corpora()?;
-        let (prev_vectors, seen_news, seen_twitter) = match prev {
+        let (prev_vectors, seen_news, seen_twitter) = match &prev {
             Some(p) => {
                 let v = p.as_vectors()?;
                 (Some(&v.vectors), v.seen_news, v.seen_twitter)
@@ -985,7 +1006,8 @@ impl StreamPipeline {
     /// fingerprints equal this pipeline's chain at slice
     /// `n_slices - 2`, its six artifacts move into the run in place of
     /// replaying or refolding that slice, so only slice `n_slices - 1`
-    /// folds and nothing is decoded. Any other state is dropped unused
+    /// folds, nothing is decoded, and each fold extends or reads its
+    /// held artifact without copying it. Any other state is dropped unused
     /// and the run is exactly `run(n_slices)`. The head state is
     /// bit-identical either way, and every fold still persists its
     /// artifact to the cache.
@@ -1113,6 +1135,11 @@ impl Exec<'_> {
 
     /// Recurses to `(si, k − 1)` and the slice-`k` dependencies, polls
     /// slice `k` if no earlier fold did, and folds.
+    ///
+    /// `(si, k − 1)` moves out of the memo into the fold when every
+    /// stage that depends on `si` already holds its slice-`k − 1`
+    /// artifact: then no later node reads it. Otherwise the fold gets a
+    /// clone. An advance from a held head moves all six.
     fn fold(&mut self, si: usize, k: usize) -> Result<StreamArtifact> {
         if k > 0 {
             self.materialize(si, k - 1)?;
@@ -1122,9 +1149,16 @@ impl Exec<'_> {
             self.materialize(d, k)?;
         }
         let slice = self.slices.entry(k).or_insert_with(|| self.firehose.poll(k));
-        let prev = if k > 0 { self.memo.get(&(si, k - 1)) } else { None };
+        let prev = k.checked_sub(1).and_then(|j| {
+            let mut dependents = self.dep_idx.iter().enumerate().filter(|(_, ds)| ds.contains(&si));
+            if dependents.all(|(d, _)| self.memo.contains_key(&(d, j))) {
+                self.memo.remove(&(si, j))
+            } else {
+                self.memo.get(&(si, j)).cloned()
+            }
+        });
         let ups: Vec<&StreamArtifact> = deps.iter().map(|&d| &self.memo[&(d, k)]).collect();
-        self.graph[si].fold(self.config, prev, &ups, slice)
+        self.graph[si].fold_owned(self.config, prev, &ups, slice)
     }
 }
 
@@ -1298,6 +1332,58 @@ mod tests {
             let (state, report) = runner.run_from(n, Some(held)).expect("run");
             assert_eq!(state.content_digest(), cold.content_digest(), "{case}");
             assert_eq!(report.executed(), 6 * n, "{case} must not seed the run: {report:?}");
+        }
+    }
+
+    #[test]
+    fn an_advance_from_the_held_head_reuses_its_buffers() {
+        let dir = tmpdir("moved");
+        for config in [tiny_config(), tiny_config().with_cache_dir(&dir)] {
+            let pipeline = StreamPipeline::new(config);
+            let (held, _) = pipeline.run(1).expect("head 1");
+            let article = held.world.articles.iter().find(|a| !a.content.is_empty());
+            let article = article.expect("an article").content.as_ptr();
+            let news_tm = held.corpora.news_tm.iter().find(|d| !d.is_empty());
+            let news_tm = news_tm.expect("a NewsTM document").as_ptr();
+            let row = held.dtm.parts().4.iter().find(|r| !r.is_empty()).expect("a row").as_ptr();
+            let window = held.events.news_window.docs().iter().rev();
+            let newest = window.map(|d| &d.tokens).find(|t| !t.is_empty());
+            let tokens = newest.expect("a windowed document").as_ptr();
+            let (state, _) = pipeline.run_from(2, Some(held)).expect("advance");
+            assert!(state.world.articles.iter().any(|a| a.content.as_ptr() == article));
+            assert!(state.corpora.news_tm.iter().any(|d| d.as_ptr() == news_tm));
+            assert!(state.dtm.parts().4.iter().any(|r| r.as_ptr() == row));
+            let docs = state.events.news_window.docs();
+            assert!(docs.iter().any(|d| d.tokens.as_ptr() == tokens), "window doc was copied");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn folding_by_reference_equals_folding_by_value() {
+        let mut config = tiny_config();
+        config.firehose.slice_hours = 24;
+        let pipeline = StreamPipeline::new(config.clone());
+        let (state, _) = pipeline.run(2).expect("head 2");
+        let prevs = state.into_artifacts();
+        let slice = pipeline.firehose().poll(2);
+        let graph = fold_stages();
+        let dep_idx = resolve_deps(&graph);
+        let encode = |si: usize, value: &StreamArtifact| {
+            let mut w = ByteWriter::new();
+            graph[si].encode(value, &mut w).expect("encode");
+            w.into_bytes()
+        };
+        let mut outs: Vec<StreamArtifact> = Vec::new();
+        for (si, stage) in graph.iter().enumerate() {
+            let ups: Vec<&StreamArtifact> = dep_idx[si].iter().map(|&d| &outs[d]).collect();
+            let before = encode(si, &prevs[si]);
+            let by_ref = stage.fold(&config, Some(&prevs[si]), &ups, &slice).expect("fold");
+            assert_eq!(encode(si, &prevs[si]), before, "{} changed prev", stage.name());
+            let owned = stage.fold_owned(&config, Some(prevs[si].clone()), &ups, &slice);
+            let by_value = owned.expect("fold_owned");
+            assert_eq!(encode(si, &by_ref), encode(si, &by_value), "{}", stage.name());
+            outs.push(by_value);
         }
     }
 

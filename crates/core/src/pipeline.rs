@@ -2,7 +2,7 @@
 //! driven as an explicit stage DAG with a content-addressed artifact
 //! cache.
 //!
-//! The executor walks [`stages`](crate::stage::stages) in topological
+//! The executor walks [`stages`] in topological
 //! order. For each stage it computes the fingerprint (config + code
 //! version + upstream fingerprints), consults the cache when a
 //! [`CacheConfig::dir`] is set, and only executes the stage body on a

@@ -16,7 +16,7 @@
 //!   local `[[f64; NR]; MR]`, k-unrolled ×4. With FMA available the
 //!   `mul_add` calls compile to `vfmadd` on 256-bit vectors (see
 //!   `.cargo/config.toml`); without it they lower to the plain
-//!   multiply-add written in [`fmadd`].
+//!   multiply-add written in `fmadd`.
 //! - **Determinism.** The KC-blocked depth loop is serial and outermost;
 //!   within one depth block, threads split the output over fixed
 //!   MC-row chunks (MC = 126 = 42 micropanels, so chunk boundaries are

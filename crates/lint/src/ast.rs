@@ -14,7 +14,7 @@
 //! Two properties the rest of the analyzer leans on:
 //!
 //! 1. **Total coverage.** The parser consumes tokens strictly left to
-//!    right through a single [`Parser::bump`]; every significant token
+//!    right through a single `Parser::bump`; every significant token
 //!    lands in exactly one node. [`Coverage`] records the guarantee
 //!    and the round-trip test in `tests/ast_roundtrip.rs` asserts it
 //!    over every file in the workspace — there are no silent skip

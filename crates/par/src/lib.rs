@@ -25,7 +25,7 @@
 //!
 //! # Execution model: a persistent worker pool
 //!
-//! Workers live in a lazily-initialized process-wide pool ([`pool`])
+//! Workers live in a lazily-initialized process-wide pool (`pool`)
 //! and park on per-worker `Mutex`+`Condvar` job slots between
 //! dispatches. The caller participates in every dispatch as worker 0,
 //! so a dispatch wakes `threads() - 1` helpers, runs the caller's own

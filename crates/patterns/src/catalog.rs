@@ -5,7 +5,7 @@
 //! (churn, error chain, funnel, engagement), plus the co-occurrence
 //! pair table. It round-trips bit-exactly through the nd-store
 //! `ByteWriter`/`ByteReader` codec so the pipeline can cache it in
-//! `NDART01` frames, and it supports matching fresh event slices
+//! `NDART02` artifact frames, and it supports matching fresh event slices
 //! against the cataloged patterns.
 
 use crate::cooccur::CoPair;

@@ -5,7 +5,7 @@
 //! incoming news topics continuously. `nd-serve` is that serving
 //! tier: a dependency-free HTTP/1.1 server over
 //! [`std::net::TcpListener`] that loads trained checkpoints (one
-//! NDART01 frame per model version, see `nd_core::checkpoint`) from a
+//! NDART02 frame per model version, see `nd_core::checkpoint`) from a
 //! directory and answers `POST /predict` with the
 //! exact scores an offline [`nd_neural::Network::predict_batch`] call
 //! would produce.

@@ -149,13 +149,14 @@ impl Registry {
     /// admitted handle; only new admissions see the swapped version.
     ///
     /// # Errors
-    /// When a newest frame is defective or does not fit its spec's
-    /// architecture; that model keeps serving its current version.
+    /// When the directory cannot be listed, or a newest frame is
+    /// defective or does not fit its spec's architecture; that model
+    /// keeps serving its current version.
     pub fn refresh(&self) -> Result<Vec<SwapEvent>, ServeError> {
         let mut events = Vec::new();
         for (name, spec) in &self.specs {
             let serving = self.get(name).map(|h| h.version).unwrap_or(0);
-            let newest = latest_version(&self.db_dir, name).unwrap_or(0);
+            let newest = latest_version(&self.db_dir, name)?.unwrap_or(0);
             if newest <= serving {
                 continue;
             }
@@ -295,6 +296,18 @@ mod tests {
         assert_eq!(reg.get("likes").unwrap().network.predict_batch(&x), v3.predict_batch(&x));
         assert_eq!(versions(&dir, "likes"), vec![2, 3]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unlistable_directory_fails_refresh_and_keeps_serving() {
+        let dir = tmpdir("unlistable");
+        save_checkpoint(&dir, "likes", &build_mlp(6, 1)).unwrap();
+        let reg = Registry::load(&dir, vec![spec(6)], 2).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        assert!(reg.refresh().is_err(), "an unlistable directory must fail the refresh");
+        assert_eq!(reg.get("likes").expect("still serving").version, 1);
+        std::fs::remove_file(&dir).ok();
     }
 
     #[test]

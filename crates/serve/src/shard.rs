@@ -78,7 +78,7 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// Builds a ring over `shards` shards with [`VNODES`] virtual
+    /// Builds a ring over `shards` shards with `VNODES` virtual
     /// nodes each.
     pub fn new(shards: usize) -> Ring {
         let shards = shards.max(1);

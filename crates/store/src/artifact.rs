@@ -9,15 +9,20 @@
 //! covers, when to recompute) lives entirely with the caller.
 //!
 //! The on-disk frame reuses the WAL's defensive posture: an 8-byte
-//! magic, the fingerprint, the payload length, and an FNV-1a checksum
-//! guard every read. [`ArtifactStore::load`] answers `None` for *any*
-//! defect — missing file, torn write, truncation, checksum or
-//! fingerprint mismatch — because the caller can always recompute;
-//! corruption must degrade to a cache miss, never to an error.
-//! Writes go through a temp file synced before the rename, and the
-//! directory is synced after it, so a crash leaves either the old
-//! artifact or a stray temp file, never a torn frame under the final
-//! name, and a save that returned survives it.
+//! magic (`NDART02\n`), the fingerprint, the payload length, and a
+//! checksum guard every read. The checksum is FNV-1a taken over the
+//! payload's little-endian 8-byte words and then its 0–7 tail bytes,
+//! one multiply per word rather than per byte. [`ArtifactStore::load`]
+//! answers `None` for *any* defect — missing file, torn write,
+//! truncation, checksum or fingerprint mismatch, a frame of an older
+//! format — because the caller can always recompute; corruption must
+//! degrade to a cache miss, never to an error. Neither direction
+//! copies the payload: a save writes the header and then the caller's
+//! bytes, and a load reads the header and then the payload straight
+//! into the buffer it returns. Writes go through a temp file synced
+//! before the rename, and the directory is synced after it, so a crash
+//! leaves either the old artifact or a stray temp file, never a torn
+//! frame under the final name, and a save that returned survives it.
 //!
 //! Payload encoding is the caller's business via [`ByteWriter`] /
 //! [`ByteReader`]: little-endian fixed-width integers and
@@ -27,27 +32,45 @@
 
 use crate::error::Result;
 use std::fmt;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 
 /// Artifact frame magic: identifies the format and its version.
-/// Bump the trailing digit when the frame layout changes.
-const MAGIC: &[u8; 8] = b"NDART01\n";
+/// Bump the trailing digit when the frame layout or checksum changes.
+const MAGIC: &[u8; 8] = b"NDART02\n";
 
 /// Frame header size: magic + fingerprint + length + checksum.
 const HEADER: usize = 8 + 8 + 8 + 8;
 
-/// Stable 64-bit FNV-1a hash. Used both for artifact checksums and,
-/// by the pipeline, as the fingerprint combiner — it is fully
-/// deterministic across processes, platforms and std versions
-/// (unlike `DefaultHasher`, which is documented to change).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Stable 64-bit FNV-1a hash. The pipeline's fingerprint combiner and
+/// digest: it is fully deterministic across processes, platforms and
+/// std versions (unlike `DefaultHasher`, which is documented to
+/// change).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The frame checksum: FNV-1a over the payload's little-endian 8-byte
+/// words, then over its 0–7 tail bytes. Each step (xor, then multiply
+/// by an odd constant) is a bijection of the running hash, so a change
+/// confined to one word or one tail byte always changes the checksum.
+fn frame_checksum(payload: &[u8]) -> u64 {
+    let words = payload.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(FNV_OFFSET, |h, w| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(w);
+        (h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME)
+    });
+    tail.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// Chains fingerprint words into one 64-bit digest: each word is
@@ -302,23 +325,21 @@ impl ArtifactStore {
     }
 
     /// Persists a payload under `(name, fingerprint)`, atomically and
-    /// durably (temp file, data sync, rename, directory sync). Returns
-    /// the total bytes written, header included.
+    /// durably (temp file, data sync, rename, directory sync). The
+    /// header and the payload are written as they are, with no frame
+    /// buffer. Returns the total bytes written, header included.
     pub fn save(&self, name: &str, fingerprint: u64, payload: &[u8]) -> Result<u64> {
-        let mut frame = Vec::with_capacity(HEADER + payload.len());
-        frame.extend_from_slice(MAGIC);
-        frame.extend_from_slice(&fingerprint.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let (len, checksum) = (payload.len() as u64, frame_checksum(payload));
+        let header = [*MAGIC, fingerprint.to_le_bytes(), len.to_le_bytes(), checksum.to_le_bytes()];
         let tmp = self.dir.join(format!(".{name}-{fingerprint:016x}.{}.tmp", std::process::id()));
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&frame)?;
+        file.write_all(header.as_flattened())?;
+        file.write_all(payload)?;
         file.sync_data()?;
         std::fs::rename(&tmp, self.path_for(name, fingerprint))?;
         // The new name itself is durable only once the directory is.
         std::fs::File::open(&self.dir)?.sync_all()?;
-        Ok(frame.len() as u64)
+        Ok(HEADER as u64 + len)
     }
 
     /// Fingerprints of the artifacts saved under `name`, ascending.
@@ -343,38 +364,28 @@ impl ArtifactStore {
         Ok(std::fs::remove_file(self.path_for(name, fingerprint))?)
     }
 
-    /// Loads the payload for `(name, fingerprint)`.
+    /// Loads the payload for `(name, fingerprint)`, read from the file
+    /// straight into the returned buffer after the header.
     ///
     /// Answers `None` for *any* defect — missing, truncated, torn,
-    /// checksum or fingerprint mismatch, unreadable — because every
-    /// artifact is recomputable and corruption must act like a cache
-    /// miss, never an error.
+    /// checksum or fingerprint mismatch, another frame format,
+    /// unreadable — because every artifact is recomputable and
+    /// corruption must act like a cache miss, never an error.
     pub fn load(&self, name: &str, fingerprint: u64) -> Option<Vec<u8>> {
-        let frame = std::fs::read(self.path_for(name, fingerprint)).ok()?;
-        if frame.len() < HEADER || &frame[..8] != MAGIC {
+        let mut file = std::fs::File::open(self.path_for(name, fingerprint)).ok()?;
+        let mut header = [[0u8; 8]; 4];
+        file.read_exact(header.as_flattened_mut()).ok()?;
+        let [magic, fp, len, checksum] = header.map(u64::from_le_bytes);
+        let size = file.metadata().ok()?.len();
+        if magic != u64::from_le_bytes(*MAGIC)
+            || fp != fingerprint
+            || size.checked_sub(HEADER as u64) != Some(len)
+        {
             return None;
         }
-        let word = |at: usize| {
-            u64::from_le_bytes([
-                frame[at],
-                frame[at + 1],
-                frame[at + 2],
-                frame[at + 3],
-                frame[at + 4],
-                frame[at + 5],
-                frame[at + 6],
-                frame[at + 7],
-            ])
-        };
-        let (fp, len, checksum) = (word(8), word(16), word(24));
-        if fp != fingerprint || len != (frame.len() - HEADER) as u64 {
-            return None;
-        }
-        let payload = &frame[HEADER..];
-        if fnv1a64(payload) != checksum {
-            return None;
-        }
-        Some(payload.to_vec())
+        let mut payload = Vec::with_capacity(usize::try_from(len).ok()?);
+        file.read_to_end(&mut payload).ok()?;
+        (payload.len() as u64 == len && frame_checksum(&payload) == checksum).then_some(payload)
     }
 
     /// Writes a plain-text sidecar file (e.g. `run_report.json`) into
@@ -454,6 +465,8 @@ mod tests {
         let payload = b"the topic model bytes".to_vec();
         let written = store.save("topics", 0xfeed, &payload).unwrap();
         assert_eq!(written as usize, HEADER + payload.len());
+        let on_disk = std::fs::metadata(store.path_for("topics", 0xfeed)).unwrap().len();
+        assert_eq!(on_disk, written, "save reports the header plus the payload");
         assert_eq!(store.load("topics", 0xfeed).unwrap(), payload);
         // A different fingerprint is a different artifact.
         assert!(store.load("topics", 0xbeef).is_none());
@@ -464,7 +477,8 @@ mod tests {
     fn corrupted_artifacts_read_as_misses() {
         let dir = tmpdir("corrupt");
         let store = ArtifactStore::open(&dir).unwrap();
-        let payload = vec![42u8; 256];
+        // 32 words and a 3-byte tail.
+        let payload: Vec<u8> = (0..259u32).map(|i| (i * 7) as u8).collect();
         store.save("events", 0xabcd, &payload).unwrap();
         let path = store.path_for("events", 0xabcd);
 
@@ -473,12 +487,14 @@ mod tests {
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         assert!(store.load("events", 0xabcd).is_none(), "truncated frame must miss");
 
-        // Flipped payload byte (checksum mismatch).
-        let mut flipped = full.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0xFF;
-        std::fs::write(&path, &flipped).unwrap();
-        assert!(store.load("events", 0xabcd).is_none(), "bad checksum must miss");
+        // A flipped payload byte (checksum mismatch) in the first word,
+        // a middle word and the tail.
+        for at in [0, 16 * 8 + 5, 257] {
+            let mut flipped = full.clone();
+            flipped[HEADER + at] ^= 0xFF;
+            std::fs::write(&path, &flipped).unwrap();
+            assert!(store.load("events", 0xabcd).is_none(), "bad checksum at {at} must miss");
+        }
 
         // Wrong magic.
         let mut bad_magic = full.clone();
@@ -486,10 +502,28 @@ mod tests {
         std::fs::write(&path, &bad_magic).unwrap();
         assert!(store.load("events", 0xabcd).is_none(), "bad magic must miss");
 
+        // An NDART01 frame: the older magic and its byte-wise checksum.
+        let mut ndart01 = b"NDART01\n".to_vec();
+        for word in [0xabcd, payload.len() as u64, fnv1a64(&payload)] {
+            ndart01.extend_from_slice(&word.to_le_bytes());
+        }
+        ndart01.extend_from_slice(&payload);
+        std::fs::write(&path, &ndart01).unwrap();
+        assert!(store.load("events", 0xabcd).is_none(), "an NDART01 frame must miss");
+
         // Restoring the original frame heals the cache entry.
         std::fs::write(&path, &full).unwrap();
         assert_eq!(store.load("events", 0xabcd).unwrap(), payload);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frame_checksum_is_pinned() {
+        // Pinned values: a drift would turn every frame on disk into a
+        // miss without a magic bump.
+        assert_eq!(frame_checksum(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(frame_checksum(b"newsdiff"), 0x4963_7524_45e6_7171);
+        assert_eq!(frame_checksum(b"hello world"), 0x1168_7211_8618_d257);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! relative objective improvement drops below `tol` or `max_iter` is
 //! reached.
 //!
-//! Every temporary the iteration needs lives in an [`NmfScratch`]
+//! Every temporary the iteration needs lives in an `NmfScratch`
 //! workspace allocated once per `fit`: the loop body runs through the
 //! `*_into` product APIs and performs no heap allocation after the
 //! first iteration (enforced by `nd-lint`'s `hot-loop-alloc` rule).
